@@ -11,8 +11,7 @@ averages the probabilities over time with the attention as weights:
 
 Each output y[k] is a convex combination of sigmoid outputs, so it stays in
 [0, 1] and is invariant to frame order.  The functions below are batched
-over clips; ``attention_forward``/``attention_backward`` expose the
-single-clip view.
+over clips.
 """
 
 from __future__ import annotations
@@ -48,14 +47,6 @@ class AttentionHead:
     @property
     def n_classes(self) -> int:
         return self.att_dense.n_out
-
-
-@dataclass(frozen=True)
-class LevelPrediction:
-    """Per-class clip probabilities plus the attention that produced them."""
-
-    y: np.ndarray  # (n_classes,) in [0, 1]
-    att_weights: np.ndarray  # (n_frames, n_classes), columns sum to 1
 
 
 def forward_batch(
@@ -118,19 +109,3 @@ def backward_batch(
     }
     return grad_h, head_grads
 
-
-def attention_forward(h: np.ndarray, head: AttentionHead) -> LevelPrediction:
-    """Pool one clip's embedded frames, shape (n_frames, width)."""
-    y, weights, _, _ = forward_batch(h[None], head)
-    return LevelPrediction(y[0], weights[0])
-
-
-def attention_backward(
-    h: np.ndarray, head: AttentionHead, grad_y: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Single-clip gradients; recomputes the forward pass internally."""
-    _, weights, frame_probs, denom = forward_batch(h[None], head)
-    grad_h, head_grads = backward_batch(
-        h[None], head, weights, frame_probs, denom, grad_y[None]
-    )
-    return grad_h[0], head_grads

@@ -29,6 +29,7 @@ from .data import (
 from .metrics import evaluate, human_table, machine_lines
 from .model import (
     PRESET_ARCHS,
+    WeightFormatError,
     build_model,
     load_weights,
     model_grad_check,
@@ -89,16 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = add("evaluate", "score a trained model on a dataset")
     ev.add_argument("--model", help="weight file")
-    ev.add_argument("--arch", help="architecture string the weights were trained with")
+    ev.add_argument("--arch", help="optional check of the checkpoint's architecture string")
     ev.add_argument("--data", help="dataset file")
-    ev.add_argument("--hidden-units", type=int)
+    ev.add_argument("--hidden-units", type=int, help="optional check of the checkpoint's width")
     ev.add_argument("--out", help="also write machine-readable records here")
 
     pr = add("predict", "emit per-sample class scores above a threshold")
     pr.add_argument("--model", help="weight file")
-    pr.add_argument("--arch", help="architecture string the weights were trained with")
+    pr.add_argument("--arch", help="optional check of the checkpoint's architecture string")
     pr.add_argument("--data", help="dataset file")
-    pr.add_argument("--hidden-units", type=int)
+    pr.add_argument("--hidden-units", type=int, help="optional check of the checkpoint's width")
     pr.add_argument("--threshold", type=float)
     pr.add_argument("--out", help="write records here instead of stdout")
 
@@ -239,19 +240,32 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(merged: dict[str, object], n_classes: int):
-    spec = parse_arch(str(merged["arch"]), int(merged["hidden_units"]), n_classes)
+def _score_dataset(merged: dict[str, object]):
+    """Score a dataset with a checkpoint whose header must agree with any given flags."""
+    _require(merged, "model", "data")
+    header, samples = _load_dataset(str(merged["data"]))
     with open(str(merged["model"]), "rb") as handle:
-        return load_weights(handle, spec)
+        model = load_weights(handle)
+    spec = model.spec
+    claimed = spec
+    if merged["arch"] is not None:
+        claimed = parse_arch(str(merged["arch"]), spec.hidden_units, spec.n_classes)
+    if merged["hidden_units"] is not None:
+        claimed = replace(claimed, hidden_units=int(merged["hidden_units"]))
+    if claimed != spec:
+        raise WeightFormatError(f"weight file holds {spec}, expected {claimed}")
+    if (spec.n_classes, model.input_dim) != (header.n_classes, header.n_features):
+        raise ValueError(
+            f"model has n_classes={spec.n_classes} input_dim={model.input_dim}, dataset has"
+            f" n_classes={header.n_classes} n_features={header.n_features}"
+        )
+    return header, samples, predict_scores(model, stack_features(samples))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    keys: dict[str, object] = dict(model=None, arch=None, data=None, hidden_units=600, out=None)
+    keys: dict[str, object] = dict(model=None, arch=None, data=None, hidden_units=None, out=None)
     merged = _merge(args, keys)
-    _require(merged, "model", "arch", "data")
-    header, samples = _load_dataset(str(merged["data"]))
-    model = _load_model(merged, header.n_classes)
-    scores = predict_scores(model, stack_features(samples))
+    header, samples, scores = _score_dataset(merged)
     report = evaluate(scores, stack_targets(samples, header.n_classes))
     print(human_table(report))
     print(f"mAP {report.mean_ap:.6f}")
@@ -263,13 +277,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     keys: dict[str, object] = dict(
-        model=None, arch=None, data=None, hidden_units=600, threshold=0.5, out=None
+        model=None, arch=None, data=None, hidden_units=None, threshold=0.5, out=None
     )
     merged = _merge(args, keys)
-    _require(merged, "model", "arch", "data")
-    header, samples = _load_dataset(str(merged["data"]))
-    model = _load_model(merged, header.n_classes)
-    scores = predict_scores(model, stack_features(samples))
+    _, samples, scores = _score_dataset(merged)
     threshold = float(merged["threshold"])
     lines = []
     for sample, row in zip(samples, scores):

@@ -1,4 +1,4 @@
-"""Weakly labelled dataset format, synthetic generation, and batching.
+"""Weakly labelled dataset format, synthetic generation, and stacking.
 
 A dataset is a set of clips; each clip carries a fixed-shape feature matrix
 (``n_frames`` x ``n_features``) and a clip-level multi-label annotation:
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterator, Sequence, TextIO
+from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 
@@ -34,6 +34,9 @@ MAGIC = b"WLAD"
 FORMAT_VERSION = 1
 
 _HEADER_STRUCT = struct.Struct("<4s5I")
+
+# Labels are stored as u16, so class indices stop at MAX_CLASSES - 1.
+MAX_CLASSES = 0x10000
 
 
 class DatasetFormatError(ValueError):
@@ -54,6 +57,8 @@ class DatasetHeader:
                 f"header dimensions must be >= 1, got frames={self.n_frames} "
                 f"features={self.n_features} classes={self.n_classes}"
             )
+        if self.n_classes > MAX_CLASSES:
+            raise DatasetFormatError(f"n_classes {self.n_classes} exceeds u16 labels ({MAX_CLASSES})")
         if self.n_samples < 0:
             raise DatasetFormatError(f"negative sample count {self.n_samples}")
 
@@ -102,10 +107,6 @@ def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: Binary
     )
     for sample in samples:
         sample.validate(header)
-        if sample.labels and sample.labels[-1] > 0xFFFF:
-            raise DatasetFormatError(
-                f"sample {sample.id!r}: label {sample.labels[-1]} exceeds u16 range"
-            )
         id_bytes = sample.id.encode("utf-8")
         written += sink.write(struct.pack("<I", len(id_bytes)))
         written += sink.write(id_bytes)
@@ -262,22 +263,6 @@ def read_truth(source: TextIO) -> SynthTruth:
             raise DatasetFormatError(f"bad truth record on line {line_no}: {line!r}") from exc
         truth.setdefault(sample_id, {})[class_index] = frames
     return truth
-
-
-def batch_iter(
-    samples: Sequence[Sample], batch_size: int, shuffle_seed: int
-) -> Iterator[list[Sample]]:
-    """Yield a seeded-permutation pass over ``samples`` in batches.
-
-    Every sample appears exactly once; the final batch may be smaller.
-    """
-    if len(samples) == 0:
-        raise ValueError("cannot iterate over an empty dataset")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = new_rng(shuffle_seed).permutation(len(samples))
-    for start in range(0, len(samples), batch_size):
-        yield [samples[j] for j in order[start : start + batch_size]]
 
 
 def multi_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:

@@ -78,7 +78,7 @@ def normal_quantile(p: float) -> float:
         x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
             (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         )
-    cdf = 0.5 * (1.0 + math.erf(x / _SQRT2))
+    cdf = normal_cdf(x)
     pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return x - (cdf - p) / pdf
 

@@ -13,19 +13,19 @@ input_dim u32, then every state array as raw float64 in the fixed traversal
 order of :meth:`MultiLevelModel.state_params` (per block, per layer: dense
 weight, dense bias, gamma, beta, running mean, running var; per head:
 attention weight/bias, classifier weight/bias; then output weight, output
-bias).
+bias).  The header alone determines the architecture and every array shape.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable
+from dataclasses import dataclass
+from typing import BinaryIO, Callable
 
 import numpy as np
 
 from . import nn
-from .attention import AttentionHead, LevelPrediction, backward_batch, forward_batch
+from .attention import AttentionHead, backward_batch, forward_batch
 from .nn import INFER, TRAIN, BatchNormState, DenseLayer, dropout_mask
 from .rng import new_rng
 
@@ -109,27 +109,8 @@ class MultiLevelModel:
     out_bias: np.ndarray  # (n_classes,)
     dropout_rate: float = 0.4
 
-    def trainable_params(self) -> dict[str, np.ndarray]:
-        """Live views of every trainable array, in fixed traversal order."""
-        params: dict[str, np.ndarray] = {}
-        for b, block in enumerate(self.blocks):
-            for j, layer in enumerate(block):
-                prefix = f"block{b}.layer{j}"
-                params[f"{prefix}.weight"] = layer.dense.weight
-                params[f"{prefix}.bias"] = layer.dense.bias
-                params[f"{prefix}.gamma"] = layer.bn.gamma
-                params[f"{prefix}.beta"] = layer.bn.beta
-        for l, head in enumerate(self.heads):
-            params[f"head{l}.att.weight"] = head.att_dense.weight
-            params[f"head{l}.att.bias"] = head.att_dense.bias
-            params[f"head{l}.cls.weight"] = head.cls_dense.weight
-            params[f"head{l}.cls.bias"] = head.cls_dense.bias
-        params["out.weight"] = self.out_weight
-        params["out.bias"] = self.out_bias
-        return params
-
     def state_params(self) -> dict[str, np.ndarray]:
-        """Trainables plus batch-norm running statistics (the persisted state)."""
+        """Live views of every persisted array, in fixed traversal order."""
         params: dict[str, np.ndarray] = {}
         for b, block in enumerate(self.blocks):
             for j, layer in enumerate(block):
@@ -148,6 +129,10 @@ class MultiLevelModel:
         params["out.weight"] = self.out_weight
         params["out.bias"] = self.out_bias
         return params
+
+    def trainable_params(self) -> dict[str, np.ndarray]:
+        """The state minus batch-norm running statistics, in the same order."""
+        return {name: arr for name, arr in self.state_params().items() if ".running_" not in name}
 
     def copy_state(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.state_params().items()}
@@ -171,6 +156,8 @@ def build_model(
     """
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     rng = new_rng(init_seed)
     blocks = []
     width_in = input_dim
@@ -199,20 +186,6 @@ class BatchPrediction:
     @property
     def n_levels(self) -> int:
         return len(self.level_y)
-
-    def clip(self, i: int) -> "ClipPrediction":
-        levels = [
-            LevelPrediction(self.level_y[l][i], self.level_att[l][i])
-            for l in range(self.n_levels)
-        ]
-        return ClipPrediction(self.z[i], levels, self.u[i])
-
-
-@dataclass(frozen=True)
-class ClipPrediction:
-    z: np.ndarray  # (n_classes,)
-    levels: list[LevelPrediction]
-    u: np.ndarray  # (n_classes * n_levels,)
 
 
 @dataclass
@@ -395,31 +368,52 @@ def save_weights(model: MultiLevelModel, sink: BinaryIO) -> int:
     return written
 
 
-def _read_exact(source: BinaryIO, count: int, context: str) -> bytes:
-    data = source.read(count)
-    if len(data) != count:
-        raise WeightFormatError(f"truncated weight stream while reading {context}")
-    return data
+def _state_size(spec: ArchSpec, input_dim: int) -> int:
+    """Float count of :meth:`MultiLevelModel.state_params` for this shape."""
+    h, k, depth = spec.hidden_units, spec.n_classes, sum(spec.block_depths)
+    # dense weights, then bias, gamma, beta and running mean/var per layer
+    layers = h * (input_dim + (depth - 1) * h) + 5 * h * depth
+    return layers + spec.n_levels * 2 * (h * k + k) + spec.n_levels * k * k + k
 
 
-def load_weights(source: BinaryIO, spec: ArchSpec, dropout_rate: float = 0.4) -> MultiLevelModel:
-    """Rebuild a model from :func:`save_weights` bytes; spec must match the echo."""
-    magic = _read_exact(source, 4, "magic")
-    if magic != WEIGHTS_MAGIC:
-        raise WeightFormatError(f"bad magic {magic!r}, expected {WEIGHTS_MAGIC!r}")
-    version, n_levels = struct.unpack("<2I", _read_exact(source, 8, "header"))
+def load_weights(
+    source: BinaryIO, spec: ArchSpec | None = None, dropout_rate: float = 0.4
+) -> MultiLevelModel:
+    """Rebuild a model from :func:`save_weights` bytes; the header is the architecture.
+
+    A given ``spec`` is a cross-check: a file holding another architecture
+    raises.  The byte count the header implies is checked before any model
+    array is allocated.
+    """
+    blob = source.read()
+    if blob[:4] != WEIGHTS_MAGIC:
+        raise WeightFormatError(f"bad magic {blob[:4]!r}, expected {WEIGHTS_MAGIC!r}")
+    n_levels = struct.unpack_from("<I", blob, 8)[0] if len(blob) >= 12 else 0
+    offset = 4 * (n_levels + 6)  # magic, version, n_levels, depths, three dims
+    if len(blob) < offset:
+        raise WeightFormatError("truncated weight stream while reading the header")
+    version, _, *depths, hidden, n_classes, input_dim = struct.unpack_from(
+        f"<{n_levels + 5}I", blob, 4
+    )
     if version != WEIGHTS_VERSION:
         raise WeightFormatError(f"unsupported weight version {version}")
-    depths = struct.unpack(f"<{n_levels}I", _read_exact(source, 4 * n_levels, "block depths"))
-    hidden, n_classes, input_dim = struct.unpack("<3I", _read_exact(source, 12, "dims"))
-    stored = ArchSpec(tuple(depths), hidden, n_classes)
-    if stored != spec:
+    try:
+        stored = ArchSpec(tuple(depths), hidden, n_classes)
+    except ValueError as err:
+        raise WeightFormatError(f"bad architecture in header: {err}") from None
+    if spec is not None and stored != spec:
         raise WeightFormatError(f"weight file holds {stored}, expected {spec}")
+    if input_dim < 1:
+        raise WeightFormatError("header input_dim must be >= 1")
 
-    model = build_model(spec, input_dim, init_seed=0, dropout_rate=dropout_rate)
-    for name, arr in model.state_params().items():
-        raw = _read_exact(source, arr.size * 8, name)
-        arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
-    if source.read(1) != b"":
+    size = 8 * _state_size(stored, input_dim)
+    if len(blob) - offset < size:
+        raise WeightFormatError(f"truncated weight stream: {stored} needs {size} parameter bytes")
+    if len(blob) - offset > size:
         raise WeightFormatError("trailing bytes after final parameter array")
+    model = build_model(stored, input_dim, init_seed=0, dropout_rate=dropout_rate)
+    values = np.frombuffer(blob, dtype="<f8", offset=offset)
+    for arr in model.state_params().values():
+        arr[...] = values[: arr.size].reshape(arr.shape)
+        values = values[arr.size :]
     return model

@@ -8,20 +8,13 @@ any analytic gradient against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .rng import new_rng
-
 TRAIN = "train"
 INFER = "infer"
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in (TRAIN, INFER):
-        raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
 
 
 def glorot_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
@@ -116,7 +109,8 @@ def batchnorm_forward(
     x: np.ndarray, state: BatchNormState, mode: str, update_running: bool = True
 ) -> np.ndarray:
     """Column-normalize by batch statistics (train) or running statistics (infer)."""
-    _check_mode(mode)
+    if mode not in (TRAIN, INFER):
+        raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
     if mode == TRAIN:
         if x.shape[0] < 2:
             raise ValueError(f"train-mode batch norm needs >= 2 rows, got {x.shape[0]}")
@@ -156,31 +150,10 @@ def batchnorm_backward(
     return grad_x, grad_gamma, grad_beta
 
 
-@dataclass
-class DropoutSpec:
-    """Inverted-dropout settings; masks come from the carried generator."""
-
-    rate: float
-    mode: str = TRAIN
-    rng: np.random.Generator = field(default_factory=lambda: new_rng(0))
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.rate}")
-        _check_mode(self.mode)
-
-
 def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Scaled keep-mask: 0 with probability ``rate``, else 1/(1-rate)."""
     keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
-
-
-def dropout_apply(x: np.ndarray, spec: DropoutSpec) -> np.ndarray:
-    """Inverted dropout: scales survivors at train time, identity at infer time."""
-    if spec.mode == INFER or spec.rate == 0.0:
-        return x
-    return x * dropout_mask(spec.rng, x.shape, spec.rate)
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:

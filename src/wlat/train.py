@@ -119,12 +119,6 @@ class FitResult:
     stopped_early: bool
 
 
-def _stack(samples: Sequence[Sample], n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    features = stack_features(samples)
-    targets = stack_targets(samples, n_classes)
-    return features, targets
-
-
 def fit(
     model: MultiLevelModel,
     train_samples: Sequence[Sample],
@@ -149,8 +143,12 @@ def fit(
         if shape[1] != model.input_dim:
             raise ValueError(f"{name} feature dim {shape[1]} != model input dim {model.input_dim}")
 
-    x_train, y_train = _stack(train_samples, spec.n_classes)
-    x_valid, y_valid = _stack(valid_samples, spec.n_classes)
+    x_train = stack_features(train_samples)
+    y_train = stack_targets(train_samples, spec.n_classes)
+    x_valid = stack_features(valid_samples)
+    y_valid = stack_targets(valid_samples, spec.n_classes)
+    if not ((y_valid.max(axis=0) > 0.0) & (y_valid.min(axis=0) < 1.0)).any():
+        raise ValueError("validation set cannot be scored: no class has positives and negatives")
     n_train = x_train.shape[0]
 
     dropout_seed, shuffle_seed = spawn_seeds(cfg.seed, 2)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from wlat import nn
-from wlat.attention import AttentionHead, attention_forward
+from wlat.attention import AttentionHead, forward_batch
 from wlat.data import (
     DatasetFormatError,
     SynthConfig,
@@ -118,6 +118,12 @@ def naive_attention(h, head):
     return y
 
 
+def pool_clip(h, head):
+    """Pool one clip (n_frames, width) through the batched head: (y, weights)."""
+    y, weights, _, _ = forward_batch(h[None], head)
+    return y[0], weights[0]
+
+
 def test_criterion_4_attention_oracle():
     worst = 0.0
     for seed in range(100):
@@ -127,24 +133,24 @@ def test_criterion_4_attention_oracle():
         head.att_dense.bias[:] = gaussian(rng, 4)
         head.cls_dense.bias[:] = gaussian(rng, 4)
         h = gaussian(rng, (n_frames, 5))
-        pred = attention_forward(h, head)
-        worst = max(worst, float(np.max(np.abs(pred.y - naive_attention(h, head)))))
-        assert np.max(np.abs(pred.att_weights.sum(axis=0) - 1.0)) < 1e-9
+        y, weights = pool_clip(h, head)
+        worst = max(worst, float(np.max(np.abs(y - naive_attention(h, head)))))
+        assert np.max(np.abs(weights.sum(axis=0) - 1.0)) < 1e-9
         perm = rng.permutation(n_frames)
-        assert np.max(np.abs(attention_forward(h[perm], head).y - pred.y)) < 1e-12
+        assert np.max(np.abs(pool_clip(h[perm], head)[0] - y)) < 1e-12
 
     rng = new_rng(1234)
     head = AttentionHead.init(rng, 5, 4)
     head.cls_dense.bias[:] = gaussian(rng, 4)
     single = gaussian(rng, (1, 5))
     direct = nn.sigmoid(single @ head.cls_dense.weight + head.cls_dense.bias)[0]
-    single_exact = np.array_equal(attention_forward(single, head).y, direct)
+    single_exact = np.array_equal(pool_clip(single, head)[0], direct)
 
     head.att_dense.weight[:] = 0.0
     head.att_dense.bias[:] = 0.0
     multi = gaussian(rng, (7, 5))
     frame_probs = nn.sigmoid(multi @ head.cls_dense.weight + head.cls_dense.bias)
-    mean_pool = float(np.max(np.abs(attention_forward(multi, head).y - frame_probs.mean(axis=0))))
+    mean_pool = float(np.max(np.abs(pool_clip(multi, head)[0] - frame_probs.mean(axis=0))))
 
     verdict(
         4,

@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlat import nn
-from wlat.attention import (
-    AttentionHead,
-    attention_backward,
-    attention_forward,
-    backward_batch,
-    forward_batch,
-)
+from wlat.attention import AttentionHead, backward_batch, forward_batch
 from wlat.rng import gaussian, new_rng
 
 
@@ -23,6 +17,19 @@ def random_head(rng, width, n_classes):
     head.att_dense.bias[:] = gaussian(rng, n_classes)
     head.cls_dense.bias[:] = gaussian(rng, n_classes)
     return head
+
+
+def pool_clip(h, head):
+    """Pool one clip (n_frames, width) as a batch of one: (y, weights)."""
+    y, weights, _, _ = forward_batch(h[None], head)
+    return y[0], weights[0]
+
+
+def pool_clip_backward(h, head, grad_y):
+    """Gradients for one clip; recomputes its forward pass."""
+    _, weights, frame_probs, denom = forward_batch(h[None], head)
+    grad_h, grads = backward_batch(h[None], head, weights, frame_probs, denom, grad_y[None])
+    return grad_h[0], grads
 
 
 def naive_attention(h, head):
@@ -63,20 +70,20 @@ def test_forward_matches_scalar_oracle(seed):
     rng = new_rng(seed)
     head = random_head(rng, 6, 4)
     h = gaussian(rng, (10, 6))
-    pred = attention_forward(h, head)
+    y, weights = pool_clip(h, head)
     expected_y, expected_w = naive_attention(h, head)
-    assert np.max(np.abs(pred.y - expected_y)) < 1e-12
-    assert np.max(np.abs(pred.att_weights - expected_w)) < 1e-12
+    assert np.max(np.abs(y - expected_y)) < 1e-12
+    assert np.max(np.abs(weights - expected_w)) < 1e-12
 
 
 def test_single_frame_reduces_to_classifier_exactly():
     rng = new_rng(42)
     head = random_head(rng, 5, 3)
     h = gaussian(rng, (1, 5))
-    pred = attention_forward(h, head)
+    y, weights = pool_clip(h, head)
     direct = nn.sigmoid(h @ head.cls_dense.weight + head.cls_dense.bias)[0]
-    assert np.array_equal(pred.y, direct)
-    assert np.array_equal(pred.att_weights, np.ones((1, 3)))
+    assert np.array_equal(y, direct)
+    assert np.array_equal(weights, np.ones((1, 3)))
 
 
 def test_zero_attention_parameters_mean_pool():
@@ -85,9 +92,9 @@ def test_zero_attention_parameters_mean_pool():
     head.att_dense.weight[:] = 0.0
     head.att_dense.bias[:] = 0.0
     h = gaussian(rng, (7, 5))
-    pred = attention_forward(h, head)
+    y, _ = pool_clip(h, head)
     frame_probs = nn.sigmoid(h @ head.cls_dense.weight + head.cls_dense.bias)
-    assert np.max(np.abs(pred.y - frame_probs.mean(axis=0))) < 1e-12
+    assert np.max(np.abs(y - frame_probs.mean(axis=0))) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,10 +103,10 @@ def test_output_in_unit_interval_and_columns_normalized(seed, n_frames):
     rng = new_rng(seed)
     head = random_head(rng, 4, 3)
     h = 5.0 * gaussian(rng, (n_frames, 4))
-    pred = attention_forward(h, head)
-    assert ((pred.y >= 0.0) & (pred.y <= 1.0)).all()
-    assert (pred.att_weights >= 0.0).all()
-    assert np.max(np.abs(pred.att_weights.sum(axis=0) - 1.0)) < 1e-9
+    y, weights = pool_clip(h, head)
+    assert ((y >= 0.0) & (y <= 1.0)).all()
+    assert (weights >= 0.0).all()
+    assert np.max(np.abs(weights.sum(axis=0) - 1.0)) < 1e-9
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -108,10 +115,10 @@ def test_frame_permutation_invariance(seed):
     head = random_head(rng, 5, 4)
     h = gaussian(rng, (9, 5))
     perm = new_rng(seed).permutation(9)
-    base = attention_forward(h, head)
-    permuted = attention_forward(h[perm], head)
-    assert np.max(np.abs(base.y - permuted.y)) < 1e-12
-    assert np.max(np.abs(permuted.att_weights - base.att_weights[perm])) < 1e-12
+    base_y, base_w = pool_clip(h, head)
+    permuted_y, permuted_w = pool_clip(h[perm], head)
+    assert np.max(np.abs(base_y - permuted_y)) < 1e-12
+    assert np.max(np.abs(permuted_w - base_w[perm])) < 1e-12
 
 
 def test_batched_forward_equals_per_clip():
@@ -120,9 +127,9 @@ def test_batched_forward_equals_per_clip():
     h = gaussian(rng, (4, 6, 5))
     y, weights, frame_probs, _ = forward_batch(h, head)
     for i in range(4):
-        pred = attention_forward(h[i], head)
-        assert np.array_equal(y[i], pred.y)
-        assert np.array_equal(weights[i], pred.att_weights)
+        clip_y, clip_w = pool_clip(h[i], head)
+        assert np.array_equal(y[i], clip_y)
+        assert np.array_equal(weights[i], clip_w)
 
 
 def test_forward_rejects_empty_frames():
@@ -137,7 +144,7 @@ def test_backward_zero_grad_gives_zero():
     rng = new_rng(1)
     head = random_head(rng, 5, 3)
     h = gaussian(rng, (6, 5))
-    grad_h, grads = attention_backward(h, head, np.zeros(3))
+    grad_h, grads = pool_clip_backward(h, head, np.zeros(3))
     assert not grad_h.any()
     assert all(not g.any() for g in grads.values())
 
@@ -147,7 +154,7 @@ def test_single_frame_gradient_skips_attention_path():
     head = random_head(rng, 5, 3)
     h = gaussian(rng, (1, 5))
     grad_y = gaussian(rng, 3)
-    _, grads = attention_backward(h, head, grad_y)
+    _, grads = pool_clip_backward(h, head, grad_y)
     assert np.max(np.abs(grads["att.weight"])) < 1e-15
     assert np.max(np.abs(grads["att.bias"])) < 1e-15
     assert grads["cls.weight"].any()
@@ -161,9 +168,9 @@ def test_backward_finite_differences(seed):
     direction = gaussian(rng, 3)
 
     def loss():
-        return float(attention_forward(h, head).y @ direction)
+        return float(pool_clip(h, head)[0] @ direction)
 
-    grad_h, grads = attention_backward(h, head, direction)
+    grad_h, grads = pool_clip_backward(h, head, direction)
     params = {
         "h": h,
         "att.weight": head.att_dense.weight,
@@ -184,7 +191,7 @@ def test_batched_backward_matches_per_clip():
     grad_h, grads = backward_batch(h, head, weights, frame_probs, denom, grad_y)
     summed = {name: np.zeros_like(g) for name, g in grads.items()}
     for i in range(3):
-        clip_grad_h, clip_grads = attention_backward(h[i], head, grad_y[i])
+        clip_grad_h, clip_grads = pool_clip_backward(h[i], head, grad_y[i])
         assert np.allclose(grad_h[i], clip_grad_h, atol=1e-12)
         for name in summed:
             summed[name] += clip_grads[name]

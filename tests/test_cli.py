@@ -149,6 +149,31 @@ def test_train_rejects_mismatched_dims(tiny_dataset, tmp_path, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
+def test_train_rejects_dropout_rate_one(tiny_dataset, tmp_path, capsys):
+    train, valid = tiny_dataset
+    code = run_cli(
+        "train", "--arch", "1-A", "--train", train, "--valid", valid,
+        "--out", tmp_path / "run", "--epochs", 1, "--batch-size", 8,
+        "--hidden-units", 6, "--dropout", 1.0,
+    )
+    assert code == 1
+    assert "dropout rate" in capsys.readouterr().err
+
+
+def test_train_rejects_unscorable_validation_set(tiny_dataset, tmp_path, capsys):
+    train, _ = tiny_dataset
+    single = tmp_path / "single.wlad"
+    assert run_cli("gen-data", "--n-classes", 4, "--n-samples", 1, "--n-frames", 4,
+                   "--n-features", 6, "--out", single) == 0
+    code = run_cli(
+        "train", "--arch", "1-A", "--train", train, "--valid", single,
+        "--out", tmp_path / "run", "--epochs", 1, "--batch-size", 8,
+        "--hidden-units", 6,
+    )
+    assert code == 1
+    assert "validation" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def overfit_artifacts(tmp_path_factory):
     """Dataset plus a checkpoint trained until it ranks that dataset perfectly."""
@@ -214,6 +239,58 @@ def test_predict_writes_to_file(overfit_artifacts, tmp_path):
     )
     assert code == 0
     assert len(out_path.read_text().splitlines()) == len(samples)
+
+
+@pytest.fixture(scope="module")
+def wide_checkpoint(tmp_path_factory):
+    """An untrained 64-unit 2-A-1-A checkpoint plus a dataset it can score."""
+    root = tmp_path_factory.mktemp("wide")
+    cfg = SynthConfig(n_classes=5, n_samples=20, n_frames=4, n_features=6, seed=2)
+    samples, _ = generate_synthetic(cfg)
+    data_path = root / "data.wlad"
+    with open(data_path, "wb") as handle:
+        write_dataset(samples, cfg.header(), handle)
+    model = build_model(parse_arch("2-A-1-A", hidden_units=64, n_classes=5), 6, init_seed=1)
+    model_path = root / "model.wlam"
+    with open(model_path, "wb") as handle:
+        save_weights(model, handle)
+    return data_path, model_path
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_checkpoint_header_replaces_arch_flags(wide_checkpoint, tmp_path, capsys, command):
+    data_path, model_path = wide_checkpoint
+    outputs = []
+    for name, flags in (("bare", ()), ("flagged", ("--arch", "2-A-1-A", "--hidden-units", 64))):
+        out_path = tmp_path / f"{name}.tsv"
+        code = run_cli(command, "--model", model_path, "--data", data_path, *flags,
+                       "--out", out_path)
+        assert code == 0
+        outputs.append((capsys.readouterr().out, out_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]
+
+
+@pytest.mark.parametrize("flags", [("--arch", "3-A"), ("--hidden-units", 600)])
+def test_wrong_arch_flags_name_both_specs(wide_checkpoint, capsys, flags):
+    data_path, model_path = wide_checkpoint
+    assert run_cli("evaluate", "--model", model_path, "--data", data_path, *flags) == 1
+    err = capsys.readouterr().err
+    assert "hidden_units=64" in err
+    assert "block_depths=(3,)" in err or "hidden_units=600" in err
+
+
+@pytest.mark.parametrize("field, value", [("--n-classes", 4), ("--n-features", 7)])
+def test_dataset_shape_must_match_checkpoint(wide_checkpoint, tmp_path, capsys, field, value):
+    _, model_path = wide_checkpoint
+    other = tmp_path / "other.wlad"
+    dims = {"--n-classes": 5, "--n-features": 6, field: value}
+    assert run_cli("gen-data", "--n-samples", 6, "--n-frames", 4,
+                   *[str(x) for kv in dims.items() for x in kv], "--out", other) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", model_path, "--data", other) == 1
+    err = capsys.readouterr().err
+    assert "n_classes=5" in err and f"={value}" in err
 
 
 def test_evaluate_missing_file_is_runtime_error(overfit_artifacts, capsys):

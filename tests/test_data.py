@@ -1,4 +1,4 @@
-"""Dataset format, synthetic generator, and batching tests."""
+"""Dataset format, synthetic generator, and stacking tests."""
 
 import io
 
@@ -12,7 +12,6 @@ from wlat.data import (
     DatasetHeader,
     Sample,
     SynthConfig,
-    batch_iter,
     generate_synthetic,
     multi_hot,
     read_dataset,
@@ -213,34 +212,12 @@ def test_truth_reader_rejects_garbage():
         read_truth(io.StringIO("not a record\n"))
 
 
-def test_batch_iter_sizes():
-    _, samples, _ = small_dataset(n_samples=10)
-    batches = list(batch_iter(samples, 4, shuffle_seed=0))
-    assert [len(b) for b in batches] == [4, 4, 2]
-
-
-def test_batch_iter_is_a_permutation():
-    _, samples, _ = small_dataset(n_samples=17)
-    seen = [s.id for batch in batch_iter(samples, 5, shuffle_seed=3) for s in batch]
-    assert sorted(seen) == sorted(s.id for s in samples)
-    assert len(set(seen)) == len(seen)
-
-
-def test_batch_iter_seed_determinism():
-    _, samples, _ = small_dataset(n_samples=12)
-    first = [s.id for batch in batch_iter(samples, 5, shuffle_seed=8) for s in batch]
-    second = [s.id for batch in batch_iter(samples, 5, shuffle_seed=8) for s in batch]
-    third = [s.id for batch in batch_iter(samples, 5, shuffle_seed=9) for s in batch]
-    assert first == second
-    assert first != third
-
-
-def test_batch_iter_rejects_empty_and_bad_size():
-    _, samples, _ = small_dataset(n_samples=3)
-    with pytest.raises(ValueError):
-        list(batch_iter([], 4, shuffle_seed=0))
-    with pytest.raises(ValueError):
-        list(batch_iter(samples, 0, shuffle_seed=0))
+def test_class_count_limited_to_u16_labels():
+    with pytest.raises(DatasetFormatError, match="n_classes 70000"):
+        DatasetHeader(2, 3, 70000, 0).validate()
+    with pytest.raises(DatasetFormatError, match="n_classes"):
+        DatasetHeader(2, 3, 0x10001, 0).validate()
+    DatasetHeader(2, 3, 0x10000, 0).validate()
 
 
 def test_multi_hot_and_stacks():

@@ -1,9 +1,14 @@
 """Architecture grammar, multi-level assembly, gradients, and weight files."""
 
+import hashlib
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlat import nn
 from wlat.model import (
@@ -128,6 +133,20 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_model(parse_arch("3-A", **TOY), input_dim=0, init_seed=0)
 
+    @pytest.mark.parametrize("rate", [-0.5, 1.0, 1.5, float("nan")])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match="dropout rate"):
+            toy_model(dropout_rate=rate)
+
+    def test_trainables_are_state_without_running_stats(self):
+        model = toy_model()
+        state = model.state_params()
+        trainable = model.trainable_params()
+        expected = [n for n in state if not n.endswith(("running_mean", "running_var"))]
+        assert list(trainable) == expected
+        assert len(state) - len(trainable) == 2 * 3  # three hidden layers
+        assert all(trainable[n] is state[n] for n in trainable)
+
 
 class TestForward:
     def test_single_level_concat_is_identity(self):
@@ -161,16 +180,6 @@ class TestForward:
         base = forward(model, features)
         permuted = forward(model, features[:, perm, :])
         assert np.max(np.abs(base.z - permuted.z)) < 1e-12
-
-    def test_clip_accessor_slices_batch(self):
-        model = toy_model("2-A-1-A")
-        features = gaussian(new_rng(6), (4, 5, 4))
-        pred = forward(model, features)
-        clip = pred.clip(2)
-        assert np.array_equal(clip.z, pred.z[2])
-        assert np.array_equal(clip.u, pred.u[2])
-        assert np.array_equal(clip.levels[1].y, pred.level_y[1][2])
-        assert np.array_equal(clip.levels[1].att_weights, pred.level_att[1][2])
 
     def test_bad_feature_shape_rejected(self):
         model = toy_model()
@@ -259,8 +268,9 @@ class TestWeightFiles:
         save_weights(model, buffer)
         buffer.seek(0)
         other = parse_arch("2-A-1-A", hidden_units=6, n_classes=3)
-        with pytest.raises(WeightFormatError, match="expected"):
+        with pytest.raises(WeightFormatError, match="expected") as info:
             load_weights(buffer, other)
+        assert "hidden_units=5" in str(info.value) and "hidden_units=6" in str(info.value)
 
     def test_truncated_stream_rejected(self):
         model = toy_model(seed=25)
@@ -276,6 +286,59 @@ class TestWeightFiles:
         save_weights(model, buffer)
         with pytest.raises(WeightFormatError, match="trailing"):
             load_weights(io.BytesIO(buffer.getvalue() + b"\x00"), model.spec)
+
+    @pytest.mark.parametrize("arch", PRESET_ARCHS)
+    def test_header_alone_describes_the_model(self, arch):
+        model = toy_model(arch, input_dim=7, seed=29)
+        buffer = io.BytesIO()
+        save_weights(model, buffer)
+        buffer.seek(0)
+        loaded = load_weights(buffer)
+        assert loaded.spec == model.spec
+        assert loaded.input_dim == 7
+        for name, arr in model.state_params().items():
+            assert np.array_equal(arr, loaded.state_params()[name]), name
+
+    def test_bytes_match_the_version_one_layout(self):
+        model = build_model(parse_arch("2-A-1-A", **TOY), 4, init_seed=3)
+        buffer = io.BytesIO()
+        assert save_weights(model, buffer) == 1936
+        digest = hashlib.sha256(buffer.getvalue()).hexdigest()
+        assert digest == "f47bf36ea6b0da62bc09ecc935e431a6325cf0b005776e2bdb90999705083f33"
+
+    # A loader that allocated before checking sizes would peak near 2 MB at
+    # 300 units, so the bound catches it without risking a huge allocation.
+    @pytest.mark.parametrize("hidden", [300, 2**31])
+    def test_oversized_header_fails_before_allocating(self, hidden):
+        buffer = io.BytesIO()
+        save_weights(toy_model(), buffer)
+        blob = bytearray(buffer.getvalue())
+        # header: magic, version, n_levels=2, two depths, then hidden_units
+        struct.pack_into("<I", blob, 20, hidden)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightFormatError, match="truncated"):
+                load_weights(io.BytesIO(bytes(blob)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_bytes_raise_only_format_errors(self, data):
+        buffer = io.BytesIO()
+        save_weights(toy_model(), buffer)
+        blob = bytearray(buffer.getvalue())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            for bit in data.draw(st.lists(st.integers(0, 8 * 64 - 1), min_size=1, max_size=4)):
+                blob[bit // 8] ^= 1 << (bit % 8)
+        try:
+            load_weights(io.BytesIO(bytes(blob)))
+        except WeightFormatError:
+            pass
 
     def test_loaded_model_predicts_identically(self):
         model = toy_model(seed=27)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlat import nn
+from wlat.model import build_model, forward_cached, parse_arch
 from wlat.rng import gaussian, new_rng
 
 
@@ -195,27 +196,46 @@ def test_batchnorm_backward_finite_differences(seed):
     assert nn.grad_check(loss, params, analytic) < 1e-5
 
 
+def dropout_model(rate, hidden=4):
+    spec = parse_arch("1-A", hidden_units=hidden, n_classes=2)
+    return build_model(spec, input_dim=4, init_seed=0, dropout_rate=rate)
+
+
+def first_layer_dropout(model, features, mode, rng=None):
+    """(relu output, mask, block output) of the model's first hidden layer."""
+    _, cache = forward_cached(model, features, mode, rng=rng, update_running=False)
+    _, _, bn_out, mask = cache.layer_io[0][0]
+    block_out = cache.level_io[0][0].reshape(bn_out.shape)
+    return nn.relu(bn_out), mask, block_out
+
+
 def test_dropout_rate_zero_is_identity():
     rng = new_rng(6)
-    x = gaussian(rng, (4, 4))
-    spec = nn.DropoutSpec(rate=0.0, mode=nn.TRAIN, rng=new_rng(0))
-    assert np.array_equal(nn.dropout_apply(x, spec), x)
+    x = gaussian(rng, (4, 3, 4))
+    masks = new_rng(0)
+    untouched = masks.bit_generator.state
+    relu_out, mask, out = first_layer_dropout(dropout_model(0.0), x, nn.TRAIN, masks)
+    assert mask is None
+    assert np.array_equal(out, relu_out)
+    assert masks.bit_generator.state == untouched
 
 
 def test_dropout_infer_is_identity():
     rng = new_rng(7)
-    x = gaussian(rng, (4, 4))
-    spec = nn.DropoutSpec(rate=0.4, mode=nn.INFER, rng=new_rng(0))
-    assert np.array_equal(nn.dropout_apply(x, spec), x)
+    x = gaussian(rng, (4, 3, 4))
+    relu_out, mask, out = first_layer_dropout(dropout_model(0.4), x, nn.INFER)
+    assert mask is None
+    assert np.array_equal(out, relu_out)
 
 
 def test_dropout_preserves_expectation():
-    x = np.ones((100, 1000))
-    spec = nn.DropoutSpec(rate=0.4, mode=nn.TRAIN, rng=new_rng(8))
-    out = nn.dropout_apply(x, spec)
-    assert 0.97 <= out.mean() <= 1.03
-    survivors = out[out != 0]
-    assert np.allclose(survivors, 1.0 / 0.6)
+    x = gaussian(new_rng(5), (10, 10, 4))
+    model = dropout_model(0.4, hidden=1000)
+    relu_out, mask, out = first_layer_dropout(model, x, nn.TRAIN, new_rng(8))
+    assert mask.shape == (100, 1000)
+    assert 0.97 <= mask.mean() <= 1.03
+    assert np.allclose(mask[mask != 0], 1.0 / 0.6)
+    assert np.array_equal(out, relu_out * mask)
 
 
 def test_dropout_mask_deterministic_per_seed():
@@ -225,8 +245,8 @@ def test_dropout_mask_deterministic_per_seed():
 
 
 def test_dropout_rejects_rate_one():
-    with pytest.raises(ValueError):
-        nn.DropoutSpec(rate=1.0, mode=nn.TRAIN, rng=new_rng(0))
+    with pytest.raises(ValueError, match="dropout"):
+        dropout_model(1.0)
 
 
 def test_finite_in_finite_out():
