@@ -1,4 +1,4 @@
-"""Dataset format, synthetic generator, and stacking tests."""
+"""Dataset format, synthetic generator, batching, and stacking tests."""
 
 import io
 
@@ -22,7 +22,9 @@ from wlat.data import (
     write_truth,
 )
 from wlat.metrics import auc
+from wlat.model import build_model, parse_arch
 from wlat.rng import gaussian, new_rng
+from wlat.train import TrainConfig, fit
 
 
 def small_dataset(n_samples=20, seed=0, **overrides):
@@ -210,6 +212,42 @@ def test_truth_sidecar_round_trip():
 def test_truth_reader_rejects_garbage():
     with pytest.raises(DatasetFormatError, match="line 1"):
         read_truth(io.StringIO("not a record\n"))
+
+
+def fit_batches(record_batches, samples, batch_size, epochs=2):
+    """Train on ``samples`` and return the batches ``fit`` drew, per epoch."""
+    cfg = SynthConfig(n_classes=5, n_features=6)
+    spec = parse_arch("1-A", hidden_units=4, n_classes=cfg.n_classes)
+    model = build_model(spec, cfg.n_features, init_seed=0)
+    batches = record_batches(samples)
+    fit(model, samples, samples, TrainConfig(arch="1-A", epochs=epochs, batch_size=batch_size))
+    per_epoch = -(-len(samples) // batch_size)
+    return [batches[i : i + per_epoch] for i in range(0, len(batches), per_epoch)]
+
+
+def test_batch_iter_sizes(record_batches):
+    _, samples, _ = small_dataset(n_samples=10)
+    for epoch in fit_batches(record_batches, samples, 4):
+        assert [len(b) for b in epoch] == [4, 4, 2]
+
+
+def test_batch_iter_is_a_permutation(record_batches):
+    _, samples, _ = small_dataset(n_samples=17)
+    epochs = fit_batches(record_batches, samples, 5)
+    assert len(epochs) == 2
+    for epoch in epochs:
+        seen = [i for batch in epoch for i in batch]
+        assert sorted(seen) == list(range(17))
+        assert len(set(seen)) == len(seen)
+
+
+def test_batch_iter_rejects_empty_and_bad_size():
+    _, samples, _ = small_dataset(n_samples=3)
+    spec = parse_arch("1-A", hidden_units=4, n_classes=5)
+    with pytest.raises(ValueError):
+        fit(build_model(spec, 6, init_seed=0), [], samples, TrainConfig(arch="1-A", epochs=1, batch_size=4))
+    with pytest.raises(ValueError):
+        TrainConfig(arch="1-A", epochs=1, batch_size=0)
 
 
 def test_class_count_limited_to_u16_labels():

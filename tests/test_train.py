@@ -5,11 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from wlat import train as train_module
 from wlat.data import SynthConfig, generate_synthetic
 from wlat.metrics import evaluate
 from wlat.model import build_model, parse_arch, predict_scores
-from wlat.nn import TRAIN
 from wlat.rng import gaussian, new_rng
 from wlat.train import AdamState, TrainConfig, adam_step, bce_loss, fit
 from wlat.data import stack_features, stack_targets
@@ -153,21 +151,6 @@ def small_model(arch="1-A", hidden=8, dropout=0.4, init_seed=0):
     return build_model(spec, input_dim=8, init_seed=init_seed, dropout_rate=dropout)
 
 
-def record_batches(monkeypatch, samples):
-    """Log each training batch ``fit`` draws as a list of indices into ``samples``."""
-    index = {s.features.tobytes(): i for i, s in enumerate(samples)}
-    batches = []
-    real = train_module.forward_cached
-
-    def recording(model, features, mode, *args, **kwargs):
-        if mode == TRAIN:
-            batches.append([index[clip.tobytes()] for clip in features])
-        return real(model, features, mode, *args, **kwargs)
-
-    monkeypatch.setattr(train_module, "forward_cached", recording)
-    return batches
-
-
 class TestFit:
     def test_logs_replay_byte_for_byte(self):
         _, train, valid = small_split()
@@ -235,17 +218,9 @@ class TestFit:
         logged = [float(line.split("\t")[3]) for line in result.log_lines]
         assert abs(result.best_map - max(logged)) < 1e-7
 
-    def test_each_epoch_visits_every_clip_once(self, monkeypatch):
+    def test_shuffle_is_seeded(self, record_batches):
         _, train, valid = small_split()
-        batches = record_batches(monkeypatch, train)
-        fit(small_model(), train, valid, TrainConfig(arch="1-A", epochs=2, batch_size=8, seed=9))
-        assert [len(b) for b in batches] == [8, 8, 4, 8, 8, 4]
-        for epoch in (batches[:3], batches[3:]):
-            assert sorted(i for batch in epoch for i in batch) == list(range(20))
-
-    def test_shuffle_is_seeded(self, monkeypatch):
-        _, train, valid = small_split()
-        batches = record_batches(monkeypatch, train)
+        batches = record_batches(train)
         orders = []
         for seed in (8, 8, 9):
             cfg = TrainConfig(arch="1-A", epochs=2, batch_size=8, lr=0.0, seed=seed)
@@ -256,9 +231,9 @@ class TestFit:
         assert orders[0] != orders[2]
         assert orders[0][:20] != orders[0][20:]
 
-    def test_unscorable_validation_set_rejected_before_training(self, monkeypatch):
+    def test_unscorable_validation_set_rejected_before_training(self, record_batches):
         _, train, valid = small_split()
-        batches = record_batches(monkeypatch, train)
+        batches = record_batches(train)
         model = small_model()
         before = model.copy_state()
         cfg = TrainConfig(arch="1-A", epochs=2, batch_size=8)
