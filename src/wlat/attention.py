@@ -4,14 +4,15 @@ Given embedded frames ``h`` (one row per frame), the head produces for each
 frame both a per-class attention score and a per-class probability, then
 averages the probabilities over time with the attention as weights:
 
-    v = softmax over classes of (h @ att_w + att_b)     per frame
-    f = sigmoid of          (h @ cls_w + cls_b)         per frame
-    w[t, k] = v[t, k] / sum_t' v[t', k]                 normalize over time
+    v = softmax over classes of att_dense(h)     per frame
+    f = sigmoid of          cls_dense(h)         per frame
+    w[t, k] = v[t, k] / sum_t' v[t', k]          normalize over time
     y[k]    = sum_t w[t, k] * f[t, k]
 
 Each output y[k] is a convex combination of sigmoid outputs, so it stays in
 [0, 1] and is invariant to frame order.  The functions below are batched
-over clips.
+over clips; the two maps are ordinary dense layers applied to the frames of
+every clip at once, as (n_clips * n_frames, width) rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import DenseLayer, sigmoid, softmax_rows, softmax_rows_backward
+from .nn import (
+    DenseLayer, dense_backward, dense_forward, sigmoid, softmax_rows, softmax_rows_backward
+)
 
 # Substituted for a time-normalization denominator that is exactly zero
 # (possible only when every frame's softmax mass for a class underflowed).
@@ -41,10 +44,6 @@ class AttentionHead:
         return cls(DenseLayer.init(rng, n_in, n_classes), DenseLayer.init(rng, n_in, n_classes))
 
     @property
-    def n_in(self) -> int:
-        return self.att_dense.n_in
-
-    @property
     def n_classes(self) -> int:
         return self.att_dense.n_out
 
@@ -61,11 +60,10 @@ def forward_batch(
     """
     if h.ndim != 3 or h.shape[1] < 1:
         raise ValueError(f"expected (n_clips, n_frames >= 1, width), got {h.shape}")
-    if h.shape[2] != head.n_in:
-        raise ValueError(f"embedding width {h.shape[2]} != head input width {head.n_in}")
-    att_logits = h @ head.att_dense.weight + head.att_dense.bias
-    v = softmax_rows(att_logits)
-    frame_probs = sigmoid(h @ head.cls_dense.weight + head.cls_dense.bias)
+    rows = h.reshape(-1, h.shape[2])
+    shape = (*h.shape[:2], head.n_classes)
+    v = softmax_rows(dense_forward(rows, head.att_dense)).reshape(shape)
+    frame_probs = sigmoid(dense_forward(rows, head.cls_dense)).reshape(shape)
     denom = v.sum(axis=1, keepdims=True)
     denom = np.where(denom > 0.0, denom, NORM_EPSILON)
     weights = v / denom
@@ -99,13 +97,10 @@ def backward_batch(
     grad_v = (grad_w - (grad_w * weights).sum(axis=1, keepdims=True)) / denom
     grad_att_logits = softmax_rows_backward(weights * denom, grad_v)
 
-    grad_h = grad_att_logits @ head.att_dense.weight.T + grad_cls_logits @ head.cls_dense.weight.T
-    flat_h = h.reshape(-1, h.shape[2])
-    head_grads = {
-        "att.weight": flat_h.T @ grad_att_logits.reshape(-1, head.n_classes),
-        "att.bias": grad_att_logits.sum(axis=(0, 1)),
-        "cls.weight": flat_h.T @ grad_cls_logits.reshape(-1, head.n_classes),
-        "cls.bias": grad_cls_logits.sum(axis=(0, 1)),
-    }
-    return grad_h, head_grads
+    rows = h.reshape(-1, h.shape[2])
+    k = head.n_classes
+    att_x, att_w, att_b = dense_backward(rows, head.att_dense, grad_att_logits.reshape(-1, k))
+    cls_x, cls_w, cls_b = dense_backward(rows, head.cls_dense, grad_cls_logits.reshape(-1, k))
+    grad_h = (att_x + cls_x).reshape(h.shape)
+    return grad_h, {"att.weight": att_w, "att.bias": att_b, "cls.weight": cls_w, "cls.bias": cls_b}
 

@@ -87,6 +87,8 @@ class Sample:
             raise DatasetFormatError(
                 f"sample {self.id!r}: label outside [0, {header.n_classes})"
             )
+        if len(self.labels) >= MAX_CLASSES:
+            raise DatasetFormatError(f"sample {self.id!r}: {len(self.labels)} labels overflow u16")
 
 
 def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: BinaryIO) -> int:
@@ -116,40 +118,50 @@ def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: Binary
     return written
 
 
-def _read_exact(source: BinaryIO, count: int, context: str) -> bytes:
-    data = source.read(count)
-    if len(data) != count:
-        raise DatasetFormatError(f"truncated stream while reading {context}")
-    return data
-
-
 def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[Sample]]:
-    """Inverse of :func:`write_dataset`; validates every invariant on load."""
-    raw = _read_exact(source, _HEADER_STRUCT.size, "header")
-    magic, version, n_frames, n_features, n_classes, n_samples = _HEADER_STRUCT.unpack(raw)
+    """Inverse of :func:`write_dataset`; validates every invariant on load.
+
+    Reads the stream once.  The bytes the header implies are checked against
+    the bytes present before any sample is parsed.
+    """
+    blob = source.read()
+    if len(blob) < _HEADER_STRUCT.size:
+        raise DatasetFormatError("truncated stream while reading header")
+    magic, version, n_frames, n_features, n_classes, n_samples = _HEADER_STRUCT.unpack_from(blob)
     if magic != MAGIC:
         raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     header = DatasetHeader(n_frames, n_features, n_classes, n_samples, version)
     header.validate()
 
-    feat_bytes = n_frames * n_features * 4
+    n_values = n_frames * n_features
+    fixed = 4 + 4 * n_values + 2  # id length, features, label count
+    offset, end = _HEADER_STRUCT.size, len(blob)
+    if end - offset < n_samples * fixed:
+        raise DatasetFormatError(
+            f"truncated stream while reading sample {(end - offset) // fixed}: the header"
+            f" implies at least {n_samples * fixed} bytes of samples, {end - offset} present"
+        )
     samples = []
     for ordinal in range(n_samples):
-        ctx = f"sample {ordinal}"
-        (id_len,) = struct.unpack("<I", _read_exact(source, 4, ctx))
-        sample_id = _read_exact(source, id_len, ctx).decode("utf-8")
-        features = (
-            np.frombuffer(_read_exact(source, feat_bytes, ctx), dtype="<f4")
-            .astype(np.float64)
-            .reshape(n_frames, n_features)
-        )
-        (label_count,) = struct.unpack("<H", _read_exact(source, 2, ctx))
-        labels = struct.unpack(
-            f"<{label_count}H", _read_exact(source, 2 * label_count, ctx)
-        )
-        sample = Sample(sample_id, features, tuple(int(c) for c in labels))
+        # unpack_from raises struct.error for any field that runs past the end
+        try:
+            (id_len,) = struct.unpack_from("<I", blob, offset)
+            features_at = offset + 4 + id_len
+            labels_at = features_at + 4 * n_values + 2
+            (label_count,) = struct.unpack_from("<H", blob, labels_at - 2)
+            labels = struct.unpack_from(f"<{label_count}H", blob, labels_at)
+            sample_id = blob[offset + 4 : features_at].decode("utf-8")
+        except struct.error:
+            raise DatasetFormatError(f"truncated stream while reading sample {ordinal}") from None
+        except UnicodeDecodeError:
+            raise DatasetFormatError(f"sample {ordinal}: id is not valid UTF-8") from None
+        features = np.frombuffer(blob, "<f4", n_values, features_at).astype(np.float64)
+        sample = Sample(sample_id, features.reshape(n_frames, n_features), labels)
         sample.validate(header)
         samples.append(sample)
+        offset = labels_at + 2 * label_count
+    if offset != end:
+        raise DatasetFormatError(f"{end - offset} trailing bytes after the last sample")
     return header, samples
 
 

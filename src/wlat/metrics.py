@@ -3,8 +3,8 @@
 AP averages the precision at each positive in the descending score ranking.
 AUC is the Mann-Whitney rank statistic (ties count half), identical to the
 trapezoidal area under the ROC curve.  d-prime maps AUC through the inverse
-standard normal CDF: the separation of two unit-variance Gaussians whose
-overlap reproduces that AUC.
+standard normal CDF (``statistics.NormalDist.inv_cdf``): the separation of
+two unit-variance Gaussians whose overlap reproduces that AUC.
 
 Classes with no positives or no negatives are undefined under all three
 metrics; they are excluded from aggregates and reported separately.
@@ -13,6 +13,7 @@ metrics; they are excluded from aggregates and reported separately.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,26 +25,6 @@ AUC_CLAMP = 1e-7
 
 _SQRT2 = math.sqrt(2.0)
 
-# Rational approximation of the standard normal quantile (relative error
-# about 1e-9 before refinement), split into tail and central regions.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_TAIL_SPLIT = 0.02425
-
 
 class DegenerateClassError(ValueError):
     """A class with no positives or no negatives; reason names which."""
@@ -54,33 +35,10 @@ class DegenerateClassError(ValueError):
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, absolute error below 1e-9.
-
-    Rational approximation refined by one Newton step against the erf-based
-    CDF.  Raises ValueError outside the open interval (0, 1).
-    """
+    """Inverse standard normal CDF; raises ValueError outside the open interval (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _TAIL_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - _TAIL_SPLIT:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    cdf = normal_cdf(x)
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return x - (cdf - p) / pdf
+    return statistics.NormalDist().inv_cdf(p)
 
 
 def normal_cdf(x: float) -> float:

@@ -105,8 +105,7 @@ class MultiLevelModel:
     input_dim: int
     blocks: list[list[LayerStack]]
     heads: list[AttentionHead]
-    out_weight: np.ndarray  # (n_classes * n_levels, n_classes)
-    out_bias: np.ndarray  # (n_classes,)
+    out: DenseLayer  # (n_classes * n_levels) -> n_classes
     dropout_rate: float = 0.4
 
     def state_params(self) -> dict[str, np.ndarray]:
@@ -126,8 +125,8 @@ class MultiLevelModel:
             params[f"head{l}.att.bias"] = head.att_dense.bias
             params[f"head{l}.cls.weight"] = head.cls_dense.weight
             params[f"head{l}.cls.bias"] = head.cls_dense.bias
-        params["out.weight"] = self.out_weight
-        params["out.bias"] = self.out_bias
+        params["out.weight"] = self.out.weight
+        params["out.bias"] = self.out.bias
         return params
 
     def trainable_params(self) -> dict[str, np.ndarray]:
@@ -169,9 +168,8 @@ def build_model(
             width_in = spec.hidden_units
         blocks.append(block)
     heads = [AttentionHead.init(rng, spec.hidden_units, spec.n_classes) for _ in spec.block_depths]
-    out_weight = nn.glorot_uniform(rng, spec.n_classes * spec.n_levels, spec.n_classes)
-    out_bias = np.zeros(spec.n_classes)
-    return MultiLevelModel(spec, input_dim, blocks, heads, out_weight, out_bias, dropout_rate)
+    out = DenseLayer.init(rng, spec.n_classes * spec.n_levels, spec.n_classes)
+    return MultiLevelModel(spec, input_dim, blocks, heads, out, dropout_rate)
 
 
 @dataclass(frozen=True)
@@ -263,7 +261,7 @@ def forward_cached(
         level_att.append(weights)
 
     u = np.concatenate(level_y, axis=1)
-    z = nn.sigmoid(u @ model.out_weight + model.out_bias)
+    z = nn.sigmoid(nn.dense_forward(u, model.out))
     prediction = BatchPrediction(z, u, level_y, level_att)
     cache = _ForwardCache(mode, n_clips, n_frames, layer_io, level_io, u, z)
     return prediction, cache
@@ -286,9 +284,7 @@ def backward(
     k = model.spec.n_classes
 
     grad_pre = grad_z * cache.z * (1.0 - cache.z)
-    grads["out.weight"] = cache.u.T @ grad_pre
-    grads["out.bias"] = grad_pre.sum(axis=0)
-    grad_u = grad_pre @ model.out_weight.T
+    grad_u, grads["out.weight"], grads["out.bias"] = nn.dense_backward(cache.u, model.out, grad_pre)
 
     # Levels feed only the concatenation, so walk blocks from deepest to
     # shallowest, merging each head's gradient with the one flowing down

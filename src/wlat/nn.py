@@ -16,6 +16,10 @@ import numpy as np
 TRAIN = "train"
 INFER = "infer"
 
+# Batch norm's running-statistics decay and the variance's stabilizer.
+BN_MOMENTUM = 0.99
+BN_EPSILON = 1e-5
+
 
 def glorot_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     """Uniform init on +-sqrt(6 / (fan_in + fan_out))."""
@@ -89,20 +93,18 @@ def softmax_rows_backward(softmax_out: np.ndarray, grad_out: np.ndarray) -> np.n
 class BatchNormState:
     """Per-column scale/shift parameters plus running statistics.
 
-    Running statistics follow ``running = momentum * running + (1 - momentum)
-    * batch`` and are only consulted in infer mode.
+    Running statistics follow ``running = BN_MOMENTUM * running + (1 -
+    BN_MOMENTUM) * batch`` and are only consulted in infer mode.
     """
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.99
-    epsilon: float = 1e-5
 
     @classmethod
-    def init(cls, dim: int, momentum: float = 0.99, epsilon: float = 1e-5) -> "BatchNormState":
-        return cls(np.ones(dim), np.zeros(dim), np.zeros(dim), np.ones(dim), momentum, epsilon)
+    def init(cls, dim: int) -> "BatchNormState":
+        return cls(np.ones(dim), np.zeros(dim), np.zeros(dim), np.ones(dim))
 
 
 def batchnorm_forward(
@@ -117,13 +119,12 @@ def batchnorm_forward(
         mean = x.mean(axis=0)
         var = x.var(axis=0)
         if update_running:
-            m = state.momentum
-            state.running_mean = m * state.running_mean + (1.0 - m) * mean
-            state.running_var = m * state.running_var + (1.0 - m) * var
+            state.running_mean = BN_MOMENTUM * state.running_mean + (1.0 - BN_MOMENTUM) * mean
+            state.running_var = BN_MOMENTUM * state.running_var + (1.0 - BN_MOMENTUM) * var
     else:
         mean = state.running_mean
         var = state.running_var
-    x_hat = (x - mean) / np.sqrt(var + state.epsilon)
+    x_hat = (x - mean) / np.sqrt(var + BN_EPSILON)
     return state.gamma * x_hat + state.beta
 
 
@@ -140,7 +141,7 @@ def batchnorm_backward(
     n = x.shape[0]
     mean = x.mean(axis=0)
     var = x.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     x_hat = (x - mean) * inv_std
 
     grad_beta = grad_out.sum(axis=0)

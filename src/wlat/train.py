@@ -23,7 +23,10 @@ from .rng import new_rng, spawn_seeds
 # loss; gradients vanish where the clamp is active.
 BCE_EPSILON = 1e-7
 
-LOG_FIELDS = ("epoch", "step", "train_loss", "valid_mAP", "valid_AUC", "valid_dprime")
+# Adam moment decay rates and the denominator's stabilizer.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def bce_loss(z: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -51,9 +54,6 @@ class AdamState:
     v: dict[str, np.ndarray]
     t: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def init(cls, params: dict[str, np.ndarray], lr: float = 0.001) -> "AdamState":
@@ -71,19 +71,19 @@ def adam_step(
     if params.keys() != grads.keys() or params.keys() != state.m.keys():
         raise ValueError("parameter, gradient and state dictionaries must share keys")
     state.t += 1
-    m_correction = 1.0 - state.beta1**state.t
-    v_correction = 1.0 - state.beta2**state.t
+    m_correction = 1.0 - ADAM_BETA1**state.t
+    v_correction = 1.0 - ADAM_BETA2**state.t
     for name, param in params.items():
         grad = grads[name]
         if grad.shape != param.shape:
             raise ValueError(f"gradient shape {grad.shape} != parameter shape {param.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        param -= state.lr * (m / m_correction) / (np.sqrt(v / v_correction) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        param -= state.lr * (m / m_correction) / (np.sqrt(v / v_correction) + ADAM_EPSILON)
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,9 @@ def fit(
     if not ((y_valid.max(axis=0) > 0.0) & (y_valid.min(axis=0) < 1.0)).any():
         raise ValueError("validation set cannot be scored: no class has positives and negatives")
     n_train = x_train.shape[0]
+    if x_train.shape[1] == 1 and n_train % cfg.batch_size == 1:
+        raise ValueError(f"n_train={n_train} with batch_size={cfg.batch_size} leaves a lone "
+                         "one-frame clip, and train-mode batch norm needs >= 2 rows")
 
     dropout_seed, shuffle_seed = spawn_seeds(cfg.seed, 2)
     dropout_rng = new_rng(dropout_seed)

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, exit codes, files, and printed output."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ def test_train_rejects_unscorable_validation_set(tiny_dataset, tmp_path, capsys)
     assert "validation" in capsys.readouterr().err
 
 
+def test_train_rejects_lone_single_frame_batch(tmp_path, capsys):
+    train = tmp_path / "train.wlad"
+    valid = tmp_path / "valid.wlad"
+    assert run_cli("gen-data", "--n-classes", 4, "--n-samples", 29, "--n-frames", 1,
+                   "--event-frames-max", 1, "--n-features", 6, "--out", train,
+                   "--valid-out", valid, "--valid-samples", 8) == 0
+    code = run_cli(
+        "train", "--arch", "1-A", "--train", train, "--valid", valid,
+        "--out", tmp_path / "run", "--epochs", 1, "--batch-size", 10, "--hidden-units", 6,
+    )
+    assert code == 1
+    assert "n_train=21 with batch_size=10" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.wlam").exists()
+
+
 @pytest.fixture(scope="module")
 def overfit_artifacts(tmp_path_factory):
     """Dataset plus a checkpoint trained until it ranks that dataset perfectly."""
@@ -210,6 +226,15 @@ def test_evaluate_prints_perfect_map(overfit_artifacts, tmp_path, capsys):
         fields = line.split("\t")
         assert len(fields) == 5
         assert float(fields[1]) == 1.0
+
+
+def test_evaluate_rejects_oversized_dataset_header(overfit_artifacts, tmp_path, capsys):
+    _, model_path, _ = overfit_artifacts
+    data_path = tmp_path / "huge.wlad"
+    header = struct.pack("<4s5I", b"WLAD", 1, 2**32 - 1, 2**32 - 1, 8, 1)
+    data_path.write_bytes(header + bytes(64))
+    assert run_cli("evaluate", "--model", model_path, "--data", data_path) == 1
+    assert "truncated stream while reading sample 0" in capsys.readouterr().err
 
 
 def test_predict_lists_scores_above_threshold(overfit_artifacts, capsys):

@@ -1,6 +1,8 @@
 """Dataset format, synthetic generator, batching, and stacking tests."""
 
 import io
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +138,66 @@ def test_non_finite_features_rejected():
     header = DatasetHeader(2, 2, 3, 1)
     with pytest.raises(DatasetFormatError, match="non-finite"):
         write_dataset([Sample("x", features, ())], header, io.BytesIO())
+
+
+@pytest.mark.parametrize("n_samples", [1, 2**32 - 1])
+def test_oversized_header_fails_before_allocating(n_samples):
+    header = struct.pack("<4s5I", b"WLAD", 1, 2**32 - 1, 2**32 - 1, 5, n_samples)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetFormatError, match="truncated stream while reading sample 0"):
+            read_dataset(io.BytesIO(header + bytes(64)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_invalid_utf8_id_rejected():
+    cfg, samples, _ = small_dataset(n_samples=1)
+    raw = bytearray(write_bytes(samples, cfg.header()))
+    raw[28:30] = b"\xff\xfe"  # the first two bytes of the id "s000000"
+    with pytest.raises(DatasetFormatError, match="sample 0: id is not valid UTF-8"):
+        read_dataset(io.BytesIO(bytes(raw)))
+
+
+def test_trailing_bytes_rejected():
+    cfg, samples, _ = small_dataset(n_samples=2)
+    with pytest.raises(DatasetFormatError, match="3 trailing bytes"):
+        read_dataset(io.BytesIO(write_bytes(samples, cfg.header()) + b"abc"))
+
+
+def test_label_count_must_fit_u16():
+    header = DatasetHeader(1, 1, 65536, 1)
+    sample = Sample("x", np.zeros((1, 1)), tuple(range(65536)))
+    with pytest.raises(DatasetFormatError, match="65536 labels"):
+        write_dataset([sample], header, io.BytesIO())
+    Sample("x", np.zeros((1, 1)), tuple(range(65535))).validate(header)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_bytes_raise_only_format_errors(data):
+    cfg, samples, _ = small_dataset(n_samples=3)
+    raw = bytearray(write_bytes(samples, cfg.header()))
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    try:
+        read_dataset(io.BytesIO(bytes(raw)))
+    except DatasetFormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="s01-9\t,x \r\u00e9", max_size=12), max_size=5))
+def test_malformed_truth_lines_raise_only_format_errors(lines):
+    try:
+        read_truth(io.StringIO("\n".join(["s000001\t2\t0,3", *lines]) + "\n"))
+    except DatasetFormatError:
+        pass
 
 
 def test_generator_is_deterministic():

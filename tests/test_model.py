@@ -84,14 +84,14 @@ class TestBuild:
         assert len(model.blocks) == 1
         assert len(model.blocks[0]) == 3
         assert len(model.heads) == 1
-        assert model.out_weight.shape == (527, 527)
+        assert model.out.weight.shape == (527, 527)
         assert model.blocks[0][0].dense.weight.shape == (128, 600)
         assert model.blocks[0][1].dense.weight.shape == (600, 600)
 
     def test_multi_level_output_width(self):
         spec = parse_arch("2-A-1-A")
         model = build_model(spec, input_dim=64, init_seed=0)
-        assert model.out_weight.shape == (2 * 527, 527)
+        assert model.out.weight.shape == (2 * 527, 527)
         assert model.blocks[1][0].dense.weight.shape == (600, 600)
 
     def test_same_seed_is_bitwise_identical(self):
@@ -103,7 +103,7 @@ class TestBuild:
     def test_different_seeds_differ(self):
         a = toy_model(seed=0)
         b = toy_model(seed=1)
-        assert not np.array_equal(a.out_weight, b.out_weight)
+        assert not np.array_equal(a.out.weight, b.out.weight)
 
     def test_biases_start_at_zero(self):
         model = toy_model()

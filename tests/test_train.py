@@ -151,6 +151,14 @@ def small_model(arch="1-A", hidden=8, dropout=0.4, init_seed=0):
     return build_model(spec, input_dim=8, init_seed=init_seed, dropout_rate=dropout)
 
 
+def lone_clip_split(n_frames):
+    """21 training clips, so batches of 10 leave one clip over, and 8 validation clips."""
+    cfg = SynthConfig(n_classes=4, n_samples=29, n_frames=n_frames, n_features=8,
+                      event_frames_max=1, seed=3)
+    samples, _ = generate_synthetic(cfg)
+    return samples[:21], samples[21:]
+
+
 class TestFit:
     def test_logs_replay_byte_for_byte(self):
         _, train, valid = small_split()
@@ -263,6 +271,20 @@ class TestFit:
         wrong = build_model(spec, input_dim=5, init_seed=0)
         with pytest.raises(ValueError, match="dim"):
             fit(wrong, train, valid, TrainConfig(arch="1-A", epochs=1, batch_size=8))
+
+    def test_lone_single_frame_clip_rejected_before_training(self, record_batches):
+        train, valid = lone_clip_split(n_frames=1)
+        batches = record_batches(train)
+        with pytest.raises(ValueError, match="n_train=21 with batch_size=10"):
+            fit(small_model(), train, valid, TrainConfig(arch="1-A", epochs=1, batch_size=10))
+        assert batches == []
+
+    def test_lone_two_frame_clip_trains(self, record_batches):
+        # two frames still give train-mode batch norm two rows
+        train, valid = lone_clip_split(n_frames=2)
+        batches = record_batches(train)
+        fit(small_model(), train, valid, TrainConfig(arch="1-A", epochs=1, batch_size=10))
+        assert [len(b) for b in batches] == [10, 10, 1]
 
 
 @pytest.fixture(scope="module")
