@@ -52,6 +52,8 @@ class DatasetHeader:
     version: int = FORMAT_VERSION
 
     def validate(self) -> None:
+        if self.version != FORMAT_VERSION:
+            raise DatasetFormatError(f"unsupported dataset version {self.version}")
         if self.n_frames < 1 or self.n_features < 1 or self.n_classes < 1:
             raise DatasetFormatError(
                 f"header dimensions must be >= 1, got frames={self.n_frames} "
@@ -155,10 +157,10 @@ def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[Sample]]:
             raise DatasetFormatError(f"truncated stream while reading sample {ordinal}") from None
         except UnicodeDecodeError:
             raise DatasetFormatError(f"sample {ordinal}: id is not valid UTF-8") from None
-        features = np.frombuffer(blob, "<f4", n_values, features_at).astype(np.float64)
-        sample = Sample(sample_id, features.reshape(n_frames, n_features), labels)
-        sample.validate(header)
-        samples.append(sample)
+        # validate the stored float32 values: widening a signalling NaN would warn
+        features = np.frombuffer(blob, "<f4", n_values, features_at).reshape(n_frames, n_features)
+        Sample(sample_id, features, labels).validate(header)
+        samples.append(Sample(sample_id, features.astype(np.float64), labels))
         offset = labels_at + 2 * label_count
     if offset != end:
         raise DatasetFormatError(f"{end - offset} trailing bytes after the last sample")

@@ -2,9 +2,11 @@
 
 AP averages the precision at each positive in the descending score ranking.
 AUC is the Mann-Whitney rank statistic (ties count half), identical to the
-trapezoidal area under the ROC curve.  d-prime maps AUC through the inverse
-standard normal CDF (``statistics.NormalDist.inv_cdf``): the separation of
-two unit-variance Gaussians whose overlap reproduces that AUC.
+trapezoidal area under the ROC curve.  One stable descending sort per class
+serves both: tied scores keep input order for AP and share their mean rank
+for AUC.  d-prime maps AUC through the inverse standard normal CDF
+(``statistics.NormalDist.inv_cdf``): the separation of two unit-variance
+Gaussians whose overlap reproduces that AUC.
 
 Classes with no positives or no negatives are undefined under all three
 metrics; they are excluded from aggregates and reported separately.
@@ -15,12 +17,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 # AUC values this close to 0 or 1 are clamped before the quantile, keeping
-# d-prime finite (the cap is about 10.27); clamping sets a warning flag.
+# d-prime finite (the cap is about 7.35); clamping sets a warning flag.
 AUC_CLAMP = 1e-7
 
 _SQRT2 = math.sqrt(2.0)
@@ -41,10 +43,6 @@ def normal_quantile(p: float) -> float:
     return statistics.NormalDist().inv_cdf(p)
 
 
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
-
-
 def clamp_auc(value: float) -> tuple[float, bool]:
     """Pull an AUC into [AUC_CLAMP, 1 - AUC_CLAMP]; flag says whether it moved."""
     if math.isnan(value) or not 0.0 <= value <= 1.0:
@@ -53,94 +51,92 @@ def clamp_auc(value: float) -> tuple[float, bool]:
     return clamped, clamped != value
 
 
-def auc_to_dprime(value: float, clamp: bool = True) -> float:
+def auc_to_dprime(value: float) -> float:
     """d-prime for an AUC: sqrt(2) times the standard normal quantile.
 
-    With clamp enabled (default), extreme AUCs are pulled to the clamp
-    bounds first; with it disabled, values at or beyond 0/1 raise.
+    Extreme AUCs are first pulled to the bounds of :func:`clamp_auc`.
     """
-    if clamp:
-        value, _ = clamp_auc(value)
-    elif not 0.0 < value < 1.0:
-        raise ValueError(f"AUC must lie in (0, 1) when clamping is disabled, got {value}")
-    return _SQRT2 * normal_quantile(value)
+    return _SQRT2 * normal_quantile(clamp_auc(value)[0])
 
 
-def _positive_mask(n: int, positives: Iterable[int]) -> np.ndarray:
-    indices = np.asarray(sorted(positives), dtype=np.int64)
-    if indices.size and (indices[0] < 0 or indices[-1] >= n):
-        raise ValueError(f"positive index out of range for {n} scores")
-    if np.unique(indices).size != indices.size:
-        raise ValueError("duplicate positive indices")
-    mask = np.zeros(n, dtype=bool)
-    mask[indices] = True
-    return mask
+def exclusion_reasons(truth: np.ndarray) -> list[str | None]:
+    """Why each column of a 0/1 truth matrix cannot be scored, or None if it can."""
+    return [
+        "no_positives" if n_pos == 0 else "no_negatives" if n_pos == len(truth) else None
+        for n_pos in np.count_nonzero(truth, axis=0).tolist()
+    ]
 
 
-def _check_scores(scores: np.ndarray) -> np.ndarray:
+def _check_scores(scores: np.ndarray, ndim: int) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValueError(f"scores must be a nonempty vector, got shape {scores.shape}")
+    if scores.ndim != ndim or scores.size == 0:
+        raise ValueError(f"scores must be a nonempty {ndim}-D array, got shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     return scores
 
 
-def average_precision(scores: np.ndarray, positives: Iterable[int]) -> float:
-    """Mean precision at each positive in the descending ranking.
+def _rank_pass(scores: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, ...]:
+    """AP, AUC and positive count of every row (one class per row), sorting each row once.
 
-    Ties keep input order (stable sort), which the definitional oracle must
-    mirror.  Raises DegenerateClassError when every sample is positive or
-    none is.
+    Each row needs a positive and a negative.  The stable descending order
+    keeps tied scores in input order for AP.  For AUC, a run of tied scores
+    at descending slots [first, last] shares the mean ascending rank
+    n - (first + last) / 2; those are half-integers, so the rank sum is exact.
     """
-    scores = _check_scores(scores)
-    mask = _positive_mask(scores.size, positives)
-    n_pos = int(mask.sum())
-    if n_pos == 0:
-        raise DegenerateClassError("no positive samples, AP undefined", reason="no_positives")
-    if n_pos == scores.size:
-        raise DegenerateClassError("no negative samples, AP undefined", reason="no_negatives")
-    order = np.argsort(-scores, kind="stable")
-    hits = mask[order]
-    precision_at_hit = np.cumsum(hits)[hits] / (np.flatnonzero(hits) + 1)
-    return float(precision_at_hit.mean())
+    n = scores.shape[1]
+    order = np.argsort(-scores, axis=1, kind="stable")
+    hits = np.take_along_axis(positive, order, axis=1)
+    ranked = np.take_along_axis(scores, order, axis=1)
+    run_start = np.ones_like(hits)
+    run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    del order, ranked  # free the two largest arrays before the full-size starts below
+    rows, slots = np.nonzero(hits)  # every positive, row by row in rank order
+    n_pos = np.bincount(rows)
+    hit_number = np.arange(1, rows.size + 1) - (np.cumsum(n_pos) - n_pos)[rows]  # within its row
+    ap = np.bincount(rows, weights=hit_number / (slots + 1)) / n_pos
+    # flat positions where a tie run starts (every row starts one), then the end
+    starts = np.flatnonzero(np.append(run_start, True))
+    run = np.searchsorted(starts, rows * n + slots, side="right") - 1
+    first_plus_last = starts[run] + starts[run + 1] - 1 - 2 * n * rows
+    rank_sum = np.bincount(rows, weights=n - first_plus_last / 2.0)
+    pairs_won = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return ap, pairs_won / (n_pos * (n - n_pos)), n_pos
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ascending ranks with tied values sharing their mean rank."""
-    n = scores.size
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_scores[1:] != sorted_scores[:-1]
-    firsts = np.flatnonzero(new_group)
-    counts = np.diff(np.append(firsts, n))
-    # group occupying 0-based slots [first, first+count) has mean 1-based
-    # rank first + (count + 1) / 2
-    rank_of_group = firsts + (counts + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = rank_of_group[np.cumsum(new_group) - 1]
-    return ranks
+def _one_class(scores: np.ndarray, positives: Iterable[int], metric: str) -> tuple[float, float]:
+    """AP and AUC of one class; raises DegenerateClassError if it cannot be scored."""
+    scores = _check_scores(scores, ndim=1)
+    indices = np.asarray(sorted(positives), dtype=np.int64)
+    if indices.size and (indices[0] < 0 or indices[-1] >= scores.size):
+        raise ValueError(f"positive index out of range for {scores.size} scores")
+    if np.unique(indices).size != indices.size:
+        raise ValueError("duplicate positive indices")
+    mask = np.zeros(scores.size, dtype=bool)
+    mask[indices] = True
+    reason = exclusion_reasons(mask[:, None])[0]
+    if reason is not None:
+        side = "positive" if reason == "no_positives" else "negative"
+        raise DegenerateClassError(f"no {side} samples, {metric} undefined", reason=reason)
+    ap, auc_value, _ = _rank_pass(scores[None], mask[None])
+    return float(ap[0]), float(auc_value[0])
+
+
+def average_precision(scores: np.ndarray, positives: Iterable[int]) -> float:
+    """Mean precision at each positive in the descending ranking; ties keep input order.
+
+    The definitional oracle must mirror that.  Raises DegenerateClassError
+    when every sample is positive or none is.
+    """
+    return _one_class(scores, positives, "AP")[0]
 
 
 def auc(scores: np.ndarray, positives: Iterable[int]) -> float:
-    """Fraction of (positive, negative) pairs ranked correctly, ties half.
+    """Fraction of (positive, negative) pairs ranked correctly, ties half (Mann-Whitney).
 
-    Mann-Whitney form via average ranks; equals the trapezoidal area under
-    the ROC curve.
+    Equals the trapezoidal area under the ROC curve; raises like average_precision.
     """
-    scores = _check_scores(scores)
-    mask = _positive_mask(scores.size, positives)
-    n_pos = int(mask.sum())
-    n_neg = scores.size - n_pos
-    if n_pos == 0:
-        raise DegenerateClassError("no positive samples, AUC undefined", reason="no_positives")
-    if n_neg == 0:
-        raise DegenerateClassError("no negative samples, AUC undefined", reason="no_negatives")
-    rank_sum = _average_ranks(scores)[mask].sum()
-    pairs_won = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return float(pairs_won / (n_pos * n_neg))
+    return _one_class(scores, positives, "AUC")[1]
 
 
 @dataclass(frozen=True)
@@ -174,45 +170,34 @@ def evaluate(scores: np.ndarray, truth: np.ndarray) -> EvalReport:
     ``truth`` is the matching multi-hot 0/1 matrix.  Degenerate classes
     land in the exclusion list; aggregates are nan if nothing remains.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _check_scores(scores, ndim=2)
     truth = np.asarray(truth)
-    if scores.ndim != 2 or scores.shape[0] == 0 or scores.shape[1] == 0:
-        raise ValueError(f"scores must be a nonempty matrix, got shape {scores.shape}")
     if truth.shape != scores.shape:
         raise ValueError(f"truth shape {truth.shape} != scores shape {scores.shape}")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
     if not np.isin(truth, (0, 1)).all():
         raise ValueError("truth must be a 0/1 multi-hot matrix")
 
-    per_class = []
-    excluded = []
-    for k in range(scores.shape[1]):
-        positives = np.flatnonzero(truth[:, k] == 1)
-        try:
-            ap = average_precision(scores[:, k], positives)
-            auc_value = auc(scores[:, k], positives)
-        except DegenerateClassError as err:
-            excluded.append((k, err.reason))
-            continue
-        clamped_auc, flagged = clamp_auc(auc_value)
-        per_class.append(
-            ClassMetrics(
-                index=k,
-                ap=ap,
-                auc=auc_value,
-                dprime=auc_to_dprime(clamped_auc, clamp=False),
-                n_pos=positives.size,
-                dprime_clamped=flagged,
-            )
+    reasons = exclusion_reasons(truth)
+    excluded = [(k, reason) for k, reason in enumerate(reasons) if reason is not None]
+    included = [k for k, reason in enumerate(reasons) if reason is None]
+    # one row per class, so each row's sort runs over contiguous memory
+    aps, aucs, counts = _rank_pass(scores.T[included], (truth == 1).T[included])
+    per_class = [
+        ClassMetrics(
+            index=k,
+            ap=ap,
+            auc=auc_value,
+            dprime=auc_to_dprime(auc_value),
+            n_pos=n_pos,
+            dprime_clamped=clamp_auc(auc_value)[1],
         )
-    if per_class:
-        mean_ap = float(np.mean([m.ap for m in per_class]))
-        mean_auc = float(np.mean([m.auc for m in per_class]))
-        mean_dprime = float(np.mean([m.dprime for m in per_class]))
-    else:
-        mean_ap = mean_auc = mean_dprime = float("nan")
-    return EvalReport(tuple(per_class), tuple(excluded), mean_ap, mean_auc, mean_dprime)
+        for k, ap, auc_value, n_pos in zip(included, aps.tolist(), aucs.tolist(), counts.tolist())
+    ]
+    means = [
+        float(np.mean(values)) if per_class else math.nan
+        for values in (aps, aucs, [m.dprime for m in per_class])
+    ]
+    return EvalReport(tuple(per_class), tuple(excluded), *means)
 
 
 def machine_lines(report: EvalReport) -> list[str]:

@@ -8,13 +8,14 @@ parameter snapshot is restored into the model when fit returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .data import Sample, stack_features, stack_targets
-from .metrics import EvalReport, evaluate
+from .metrics import EvalReport, evaluate, exclusion_reasons
 from .model import MultiLevelModel, backward, forward_cached, parse_arch, predict_scores
 from .nn import TRAIN
 from .rng import new_rng, spawn_seeds
@@ -147,7 +148,7 @@ def fit(
     y_train = stack_targets(train_samples, spec.n_classes)
     x_valid = stack_features(valid_samples)
     y_valid = stack_targets(valid_samples, spec.n_classes)
-    if not ((y_valid.max(axis=0) > 0.0) & (y_valid.min(axis=0) < 1.0)).any():
+    if all(exclusion_reasons(y_valid)):
         raise ValueError("validation set cannot be scored: no class has positives and negatives")
     n_train = x_train.shape[0]
     if x_train.shape[1] == 1 and n_train % cfg.batch_size == 1:
@@ -176,6 +177,9 @@ def fit(
             batch = order[start : start + cfg.batch_size]
             prediction, cache = forward_cached(model, x_train[batch], TRAIN, rng=dropout_rng)
             loss, grad_z = bce_loss(prediction.z, y_train[batch])
+            if not math.isfinite(loss):
+                raise ValueError(f"training loss {loss} is not finite at epoch {epoch}, "
+                                 f"step {adam.t + 1}")
             adam_step(params, backward(model, cache, grad_z), adam)
             loss_sum += loss * batch.size
         epoch_loss = loss_sum / n_train

@@ -190,6 +190,19 @@ def test_train_rejects_lone_single_frame_batch(tmp_path, capsys):
     assert not (tmp_path / "run" / "model.wlam").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge steps overflow on purpose
+def test_train_stops_at_non_finite_loss(tiny_dataset, tmp_path, capsys):
+    train, valid = tiny_dataset
+    code = run_cli(
+        "train", "--arch", "1-A", "--train", train, "--valid", valid,
+        "--out", tmp_path / "run", "--epochs", 2, "--batch-size", 8,
+        "--hidden-units", 6, "--lr", 1e200,
+    )
+    assert code == 1
+    assert "not finite at epoch 1, step" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.wlam").exists()
+
+
 @pytest.fixture(scope="module")
 def overfit_artifacts(tmp_path_factory):
     """Dataset plus a checkpoint trained until it ranks that dataset perfectly."""
@@ -235,6 +248,16 @@ def test_evaluate_rejects_oversized_dataset_header(overfit_artifacts, tmp_path, 
     data_path.write_bytes(header + bytes(64))
     assert run_cli("evaluate", "--model", model_path, "--data", data_path) == 1
     assert "truncated stream while reading sample 0" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_unknown_dataset_version(overfit_artifacts, tmp_path, capsys):
+    data_path, model_path, _ = overfit_artifacts
+    raw = bytearray(data_path.read_bytes())
+    raw[4:8] = (7).to_bytes(4, "little")
+    patched = tmp_path / "v7.wlad"
+    patched.write_bytes(bytes(raw))
+    assert run_cli("evaluate", "--model", model_path, "--data", patched) == 1
+    assert "unsupported dataset version 7" in capsys.readouterr().err
 
 
 def test_predict_lists_scores_above_threshold(overfit_artifacts, capsys):

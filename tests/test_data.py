@@ -3,6 +3,7 @@
 import io
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,24 @@ def test_oversized_header_fails_before_allocating(n_samples):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_unknown_version_rejected():
+    cfg, samples, _ = small_dataset(n_samples=2)
+    raw = bytearray(write_bytes(samples, cfg.header()))
+    raw[4:8] = (7).to_bytes(4, "little")
+    with pytest.raises(DatasetFormatError, match="unsupported dataset version 7"):
+        read_dataset(io.BytesIO(bytes(raw)))
+
+
+def test_signalling_nan_feature_rejected_without_warning():
+    cfg, samples, _ = small_dataset(n_samples=1)
+    raw = bytearray(write_bytes(samples, cfg.header()))
+    raw[35:39] = (0x7FA00000).to_bytes(4, "little")  # the first feature of id "s000000"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetFormatError, match="non-finite"):
+            read_dataset(io.BytesIO(bytes(raw)))
 
 
 def test_invalid_utf8_id_rejected():

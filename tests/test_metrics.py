@@ -18,7 +18,6 @@ from wlat.metrics import (
     evaluate,
     human_table,
     machine_lines,
-    normal_cdf,
     normal_quantile,
 )
 from wlat.rng import gaussian, new_rng
@@ -62,6 +61,10 @@ def oracle_auc(scores, positive_mask):
         elif p == n:
             total += 0.5
     return total / (len(positives) * len(negatives))
+
+
+def oracle_normal_cdf(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def trapezoid_auc(scores, positive_mask):
@@ -208,7 +211,7 @@ class TestDprime:
     def test_quantile_round_trip(self):
         for p in np.geomspace(1e-6, 0.5, 40):
             for q in (float(p), float(1.0 - p)):
-                assert abs(normal_cdf(normal_quantile(q)) - q) < 1e-9
+                assert abs(oracle_normal_cdf(normal_quantile(q)) - q) < 1e-9
 
     def test_quantile_rejects_endpoints(self):
         for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
@@ -230,11 +233,6 @@ class TestDprime:
         for bad in (-0.01, 1.01, float("nan")):
             with pytest.raises(ValueError):
                 clamp_auc(bad)
-
-    def test_perfect_auc_without_clamp_rejected(self):
-        with pytest.raises(ValueError):
-            auc_to_dprime(1.0, clamp=False)
-        assert np.isfinite(auc_to_dprime(1.0, clamp=True))
 
 
 class TestEvaluate:
@@ -311,3 +309,66 @@ class TestEvaluate:
         assert "excluded" in table
         assert "no negatives" in table
         assert "*" in table  # class 0 is ranked perfectly, so its AUC clamps
+
+
+# Tie-heavy matrices for the one-sort-per-class pass: (scores, truth), one
+# column per class.
+MATRIX_CASES = {
+    "every_score_tied": (
+        np.full((6, 4), 0.5),
+        [[1, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]],
+    ),
+    "tie_runs_at_both_ends": (
+        [[0.9, 0.0], [0.9, 0.0], [0.9, 0.0], [0.5, 0.4], [0.1, 1.0], [0.1, 1.0], [0.1, 1.0]],
+        [[0, 1], [1, 0], [0, 1], [1, 0], [1, 0], [0, 1], [0, 0]],
+    ),
+    "one_positive": (
+        [[0.2, 0.7, 0.7], [0.7, 0.7, 0.1], [0.7, 0.2, 0.7], [0.1, 0.7, 0.7]],
+        [[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 1, 1]],
+    ),
+    "two_samples": (
+        [[0.3, 0.3, 0.8, 0.1, 0.4], [0.3, 0.3, 0.2, 0.9, 0.6]],
+        [[1, 0, 1, 1, 1], [0, 1, 0, 0, 1]],
+    ),
+    "degenerate_between_scorable": (
+        [[0.4, 0.1, 0.4, 0.4, 0.0], [0.4, 0.1, 0.9, 0.4, 0.5], [0.1, 0.1, 0.4, 0.4, 0.5]],
+        [[1, 0, 0, 1, 1], [0, 0, 1, 1, 0], [1, 0, 0, 1, 0]],
+    ),
+}
+
+
+def random_tied_matrix(seed):
+    """Scores on a three-value grid; some columns come out degenerate."""
+    rng = new_rng(seed + 3000)
+    n, k = int(rng.integers(2, 10)), int(rng.integers(1, 9))
+    scores = rng.integers(0, 3, size=(n, k)) / 2.0
+    truth = (rng.random((n, k)) < rng.random(k)).astype(float)
+    return scores, truth
+
+
+@pytest.mark.parametrize(
+    "scores,truth",
+    [*MATRIX_CASES.values(), *(random_tied_matrix(seed) for seed in range(40))],
+    ids=[*MATRIX_CASES, *(f"random{seed}" for seed in range(40))],
+)
+def test_evaluate_matrix_matches_oracles_per_class(scores, truth):
+    scores = np.asarray(scores, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    report = evaluate(scores, truth)
+    n_pos = truth.sum(axis=0).astype(int).tolist()
+    included = [k for k, count in enumerate(n_pos) if 0 < count < len(truth)]
+    excluded = [
+        (k, "no_positives" if count == 0 else "no_negatives")
+        for k, count in enumerate(n_pos)
+        if k not in included
+    ]
+    assert report.excluded == tuple(excluded)
+    assert [m.index for m in report.class_metrics] == included
+    for m in report.class_metrics:
+        column, mask = scores[:, m.index].tolist(), (truth[:, m.index] == 1).tolist()
+        expected_auc = oracle_auc(column, mask)
+        assert m.n_pos == n_pos[m.index]
+        assert abs(m.ap - oracle_average_precision(column, mask)) < 1e-12
+        assert abs(m.auc - expected_auc) < 1e-12
+        assert m.dprime_clamped == (expected_auc in (0.0, 1.0))
+        assert abs(m.dprime - auc_to_dprime(expected_auc)) < 1e-9

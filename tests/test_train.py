@@ -252,6 +252,15 @@ class TestFit:
         for name, arr in model.state_params().items():
             assert np.array_equal(arr, before[name]), name
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge steps overflow on purpose
+    def test_non_finite_loss_names_epoch_and_step(self, record_batches):
+        _, train, valid = small_split()
+        batches = record_batches(train)
+        cfg = TrainConfig(arch="1-A", epochs=3, batch_size=8, lr=1e200, seed=9)
+        with pytest.raises(ValueError, match="not finite at epoch 1, step 2$"):
+            fit(small_model(), train, valid, cfg)
+        assert len(batches) == 2
+
     def test_arch_mismatch_rejected(self):
         _, train, valid = small_split()
         with pytest.raises(ValueError, match="arch"):
