@@ -66,9 +66,9 @@ def forward_batch(
     frame_probs = sigmoid(dense_forward(rows, head.cls_dense)).reshape(shape)
     denom = v.sum(axis=1, keepdims=True)
     denom = np.where(denom > 0.0, denom, NORM_EPSILON)
-    weights = v / denom
-    y = (weights * frame_probs).sum(axis=1)
-    return y, weights, frame_probs, denom
+    v /= denom  # v becomes the weights
+    y = (v * frame_probs).sum(axis=1)
+    return y, v, frame_probs, denom
 
 
 def backward_batch(

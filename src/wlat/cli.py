@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -199,6 +200,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     merged = _merge(args, keys)
     _require(merged, "arch", "train_path", "valid_path", "out")
+    cfg = TrainConfig(
+        arch=str(merged["arch"]),
+        epochs=int(merged["epochs"]),
+        batch_size=int(merged["batch_size"]),
+        lr=float(merged["lr"]),
+        seed=int(merged["seed"]),
+        eval_every=int(merged["eval_every"]),
+        early_stop_patience=int(merged["patience"]),
+    )
     out_dir = str(merged["out"])
     os.makedirs(out_dir, exist_ok=True)
 
@@ -214,15 +224,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     spec = parse_arch(str(merged["arch"]), int(merged["hidden_units"]), train_header.n_classes)
     model = build_model(
         spec, train_header.n_features, int(merged["init_seed"]), float(merged["dropout"])
-    )
-    cfg = TrainConfig(
-        arch=str(merged["arch"]),
-        epochs=int(merged["epochs"]),
-        batch_size=int(merged["batch_size"]),
-        lr=float(merged["lr"]),
-        seed=int(merged["seed"]),
-        eval_every=int(merged["eval_every"]),
-        early_stop_patience=int(merged["patience"]),
     )
     result = fit(model, train_samples, valid_samples, cfg)
 
@@ -280,8 +281,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         model=None, arch=None, data=None, hidden_units=None, threshold=0.5, out=None
     )
     merged = _merge(args, keys)
-    _, samples, scores = _score_dataset(merged)
     threshold = float(merged["threshold"])
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+    _, samples, scores = _score_dataset(merged)
     lines = []
     for sample, row in zip(samples, scores):
         hits = ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(row >= threshold))

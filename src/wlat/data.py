@@ -22,6 +22,7 @@ The generator rounds its output to float32 so write -> read is exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence, TextIO
@@ -203,10 +204,10 @@ class SynthConfig:
                 f"n_classes, got [{self.labels_per_sample_min}, "
                 f"{self.labels_per_sample_max}] with n_classes={self.n_classes}"
             )
-        if self.signal_scale <= 0:
-            raise ValueError(f"signal_scale must be > 0, got {self.signal_scale}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.signal_scale) and self.signal_scale > 0):
+            raise ValueError(f"signal_scale must be finite and > 0, got {self.signal_scale}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     def header(self) -> DatasetHeader:
         return DatasetHeader(self.n_frames, self.n_features, self.n_classes, self.n_samples)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from typing import BinaryIO, Callable
 
 import numpy as np
@@ -31,6 +32,12 @@ from .rng import new_rng
 
 WEIGHTS_MAGIC = b"WLAM"
 WEIGHTS_VERSION = 1
+
+# Frame rows (clips x frames) that :func:`predict_scores` scores at once.
+# At paper width a chunk's widest activation (1000 x 600 floats) stays near
+# the CPU cache; 10000-row chunks spent more time in elementwise passes and
+# page faults than in their GEMMs.
+INFER_CHUNK_ROWS = 1000
 
 # The architecture grammar: dense-layer counts separated by attention taps.
 PRESET_ARCHS = (
@@ -144,6 +151,31 @@ class MultiLevelModel:
             arr[...] = state[name]
 
 
+def _assemble(
+    spec: ArchSpec,
+    input_dim: int,
+    dense: Callable[[int, int], DenseLayer],
+    dropout_rate: float,
+) -> MultiLevelModel:
+    """The model's structure; ``dense(n_in, n_out)`` makes each dense layer in traversal order."""
+    if input_dim < 1:
+        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+    h, k = spec.hidden_units, spec.n_classes
+    blocks = []
+    width_in = input_dim
+    for depth in spec.block_depths:
+        block = []
+        for _ in range(depth):
+            block.append(LayerStack(dense(width_in, h), BatchNormState.init(h)))
+            width_in = h
+        blocks.append(block)
+    heads = [AttentionHead(dense(h, k), dense(h, k)) for _ in spec.block_depths]
+    out = dense(k * spec.n_levels, k)
+    return MultiLevelModel(spec, input_dim, blocks, heads, out, dropout_rate)
+
+
 def build_model(
     spec: ArchSpec, input_dim: int, init_seed: int, dropout_rate: float = 0.4
 ) -> MultiLevelModel:
@@ -153,23 +185,7 @@ def build_model(
     traversal order, so identical (spec, input_dim, seed) give bitwise-
     identical parameters.
     """
-    if input_dim < 1:
-        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-    rng = new_rng(init_seed)
-    blocks = []
-    width_in = input_dim
-    for depth in spec.block_depths:
-        block = []
-        for _ in range(depth):
-            dense = DenseLayer.init(rng, width_in, spec.hidden_units)
-            block.append(LayerStack(dense, BatchNormState.init(spec.hidden_units)))
-            width_in = spec.hidden_units
-        blocks.append(block)
-    heads = [AttentionHead.init(rng, spec.hidden_units, spec.n_classes) for _ in spec.block_depths]
-    out = DenseLayer.init(rng, spec.n_classes * spec.n_levels, spec.n_classes)
-    return MultiLevelModel(spec, input_dim, blocks, heads, out, dropout_rate)
+    return _assemble(spec, input_dim, partial(DenseLayer.init, new_rng(init_seed)), dropout_rate)
 
 
 @dataclass(frozen=True)
@@ -188,7 +204,11 @@ class BatchPrediction:
 
 @dataclass
 class _ForwardCache:
-    """Intermediates retained by a train-mode forward for the backward pass."""
+    """Intermediates retained by a train-mode forward for the backward pass.
+
+    An infer-mode forward retains none: its ``layer_io`` and ``level_io``
+    stay empty.
+    """
 
     mode: str
     n_clips: int
@@ -233,6 +253,7 @@ def forward_cached(
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng for the masks")
 
+    retain = mode == TRAIN
     n_clips, n_frames, _ = features.shape
     x = features.reshape(n_clips * n_frames, model.input_dim)
 
@@ -250,13 +271,16 @@ def forward_cached(
             mask = None
             if use_dropout:
                 mask = dropout_mask(rng, x.shape, model.dropout_rate)
-                x = x * mask
-            block_io.append((dense_in, dense_out, bn_out, mask))
-        layer_io.append(block_io)
+                x *= mask
+            if retain:
+                block_io.append((dense_in, dense_out, bn_out, mask))
+        if retain:
+            layer_io.append(block_io)
 
         h = x.reshape(n_clips, n_frames, -1)
         y, weights, frame_probs, denom = forward_batch(h, head)
-        level_io.append((h, weights, frame_probs, denom))
+        if retain:
+            level_io.append((h, weights, frame_probs, denom))
         level_y.append(y)
         level_att.append(weights)
 
@@ -317,13 +341,16 @@ def backward(
     return grads
 
 
-def predict_scores(
-    model: MultiLevelModel, features: np.ndarray, chunk_size: int = 1000
-) -> np.ndarray:
-    """Infer-mode class probabilities (n_clips, n_classes), chunked for memory."""
+def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
+    """Infer-mode class probabilities (n_clips, n_classes).
+
+    Clips are scored in chunks of about :data:`INFER_CHUNK_ROWS` frame
+    rows (at least one clip), so memory stays bounded by one chunk.
+    """
+    step = max(1, INFER_CHUNK_ROWS // max(1, features.shape[1]))
     outputs = [
-        forward(model, features[start : start + chunk_size], INFER).z
-        for start in range(0, features.shape[0], chunk_size)
+        forward(model, features[start : start + step], INFER).z
+        for start in range(0, features.shape[0], step)
     ]
     return np.concatenate(outputs, axis=0)
 
@@ -372,6 +399,10 @@ def _state_size(spec: ArchSpec, input_dim: int) -> int:
     return layers + spec.n_levels * 2 * (h * k + k) + spec.n_levels * k * k + k
 
 
+def _empty_dense(n_in: int, n_out: int) -> DenseLayer:
+    return DenseLayer(np.empty((n_in, n_out)), np.empty(n_out))
+
+
 def load_weights(
     source: BinaryIO, spec: ArchSpec | None = None, dropout_rate: float = 0.4
 ) -> MultiLevelModel:
@@ -379,7 +410,8 @@ def load_weights(
 
     A given ``spec`` is a cross-check: a file holding another architecture
     raises.  The byte count the header implies is checked before any model
-    array is allocated.
+    array is allocated, and the arrays are filled straight from the bytes
+    (no initializer runs).
     """
     blob = source.read()
     if blob[:4] != WEIGHTS_MAGIC:
@@ -407,7 +439,7 @@ def load_weights(
         raise WeightFormatError(f"truncated weight stream: {stored} needs {size} parameter bytes")
     if len(blob) - offset > size:
         raise WeightFormatError("trailing bytes after final parameter array")
-    model = build_model(stored, input_dim, init_seed=0, dropout_rate=dropout_rate)
+    model = _assemble(stored, input_dim, _empty_dense, dropout_rate)
     values = np.frombuffer(blob, dtype="<f8", offset=offset)
     for arr in model.state_params().values():
         arr[...] = values[: arr.size].reshape(arr.shape)

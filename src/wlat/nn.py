@@ -3,7 +3,9 @@
 Everything operates on 2-D float64 arrays (rows = batch items, columns =
 features).  There is no autodiff graph: each layer exposes a forward
 function and a matching backward function, and :func:`grad_check` verifies
-any analytic gradient against central finite differences.
+any analytic gradient against central finite differences.  The forward
+kernels work in place on arrays they allocate themselves and never write
+to their inputs.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ class DenseLayer:
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != layer.n_in:
         raise ValueError(f"dense input shape {x.shape} incompatible with n_in={layer.n_in}")
-    return x @ layer.weight + layer.bias
+    out = x @ layer.weight
+    out += layer.bias
+    return out
 
 
 def dense_backward(
@@ -72,15 +76,23 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise 1 / (1 + exp(-x)), branch-stable for large |x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # The numerator is 1 where x >= 0, else e; as e <= 1 that is max(step(x), e).
+    out = (x >= 0.0).astype(e.dtype)
+    np.maximum(out, e, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Row-wise softmax; subtracts the row max so large logits cannot overflow."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows_backward(softmax_out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -124,8 +136,11 @@ def batchnorm_forward(
     else:
         mean = state.running_mean
         var = state.running_var
-    x_hat = (x - mean) / np.sqrt(var + BN_EPSILON)
-    return state.gamma * x_hat + state.beta
+    out = x - mean
+    out /= np.sqrt(var + BN_EPSILON)
+    out *= state.gamma
+    out += state.beta
+    return out
 
 
 def batchnorm_backward(

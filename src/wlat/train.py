@@ -100,8 +100,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.eval_every < 1:

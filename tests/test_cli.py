@@ -1,11 +1,16 @@
 """Command-line behavior: flags, exit codes, files, and printed output."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wlat
 from wlat import cli
 from wlat.data import SynthConfig, generate_synthetic, read_dataset, stack_features, write_dataset
 from wlat.model import (
@@ -31,6 +36,16 @@ def test_list_archs_prints_all_presets(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed == list(PRESET_ARCHS)
     assert len(printed) == 9
+
+
+def test_python_m_wlat_runs_the_cli():
+    src = Path(wlat.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "wlat", "--list-archs"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == list(PRESET_ARCHS)
 
 
 def test_no_command_is_usage_error(capsys):
@@ -117,6 +132,25 @@ def tiny_dataset(tmp_path_factory):
     )
     assert code == 0
     return train, valid
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_non_finite_lr_before_loading(tmp_path, capsys, lr):
+    out_dir = tmp_path / "run"
+    code = run_cli(
+        "train", "--arch", "1-A", "--train", tmp_path / "absent.wlad",
+        "--valid", tmp_path / "absent.wlad", "--out", out_dir, "--lr", lr,
+    )
+    assert code == 1
+    assert f"lr must be finite and >= 0, got {lr}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_gen_data_rejects_non_finite_noise(tmp_path, capsys):
+    out = tmp_path / "d.wlad"
+    assert run_cli("gen-data", *GEN_FLAGS, "--noise-sigma", "nan", "--out", out) == 1
+    assert "noise_sigma must be finite and >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_writes_checkpoint_and_log(tiny_dataset, tmp_path, capsys):
@@ -276,6 +310,15 @@ def test_predict_lists_scores_above_threshold(overfit_artifacts, capsys):
     for line, sample, row in zip(lines, samples, scores):
         hits = ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(row >= 0.5))
         assert line == f"{sample.id}\t{hits}"
+
+
+def test_predict_rejects_non_finite_threshold(overfit_artifacts, capsys):
+    data_path, model_path, _ = overfit_artifacts
+    code = run_cli("predict", "--model", model_path, "--data", data_path, "--threshold", "nan")
+    assert code == 1
+    printed = capsys.readouterr()
+    assert "threshold must be finite, got nan" in printed.err
+    assert printed.out == ""
 
 
 def test_predict_writes_to_file(overfit_artifacts, tmp_path):

@@ -367,6 +367,13 @@ def test_config_validation():
     SynthConfig(noise_sigma=0.0).validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["signal_scale", "noise_sigma"])
+def test_synth_config_rejects_non_finite_scales(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite.*got {value}"):
+        SynthConfig(**{name: value}).validate()
+
+
 def _logistic_probe_auc(train_x, train_y, test_x, test_y):
     """Full-batch gradient-descent logistic regression, one probe per class."""
     mean, std = train_x.mean(axis=0), train_x.std(axis=0)

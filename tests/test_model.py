@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from wlat import nn
 from wlat.model import (
+    INFER_CHUNK_ROWS,
     PRESET_ARCHS,
     ArchSpec,
     WeightFormatError,
@@ -196,12 +197,35 @@ class TestForward:
 
     def test_predict_scores_matches_unchunked_forward(self):
         model = toy_model()
-        features = gaussian(new_rng(8), (7, 6, 4))
-        scores = predict_scores(model, features, chunk_size=3)
+        # two and a half chunks of frame rows, the last chunk partial
+        n_clips = 5 * INFER_CHUNK_ROWS // (2 * 6) + 1
+        features = gaussian(new_rng(8), (n_clips, 6, 4))
+        scores = predict_scores(model, features)
         assert np.array_equal(scores, forward(model, features, INFER).z)
+
+    def test_predict_scores_memory_is_one_chunk(self):
+        hidden, n_frames = 32, 10
+        model = build_model(parse_arch("2-A-1-A", hidden_units=hidden, n_classes=8), 16, 0)
+        features = gaussian(new_rng(14), (8 * INFER_CHUNK_ROWS // n_frames, n_frames, 16))
+        widest_activation = INFER_CHUNK_ROWS * hidden * 8  # bytes of one chunk's layer output
+        tracemalloc.start()
+        try:
+            predict_scores(model, features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few live activations of one chunk, not a cache of all eight
+        assert peak < 8 * widest_activation
 
 
 class TestBackward:
+    def test_infer_cache_retains_nothing_and_is_rejected(self):
+        model = toy_model()
+        _, cache = forward_cached(model, gaussian(new_rng(9), (4, 6, 4)), INFER)
+        assert cache.layer_io == [] and cache.level_io == []
+        with pytest.raises(ValueError, match="train-mode forward"):
+            backward(model, cache, np.zeros((4, 3)))
+
     def test_zero_grad_gives_zero_everywhere(self):
         model = toy_model()
         features = gaussian(new_rng(9), (4, 6, 4))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlat import nn
-from wlat.model import build_model, forward_cached, parse_arch
+from wlat.model import build_model, forward, forward_cached, parse_arch
 from wlat.rng import gaussian, new_rng
 
 
@@ -201,9 +201,9 @@ def dropout_model(rate, hidden=4):
     return build_model(spec, input_dim=4, init_seed=0, dropout_rate=rate)
 
 
-def first_layer_dropout(model, features, mode, rng=None):
-    """(relu output, mask, block output) of the model's first hidden layer."""
-    _, cache = forward_cached(model, features, mode, rng=rng, update_running=False)
+def first_layer_dropout(model, features, rng):
+    """(relu output, mask, block output) of the model's first hidden layer, in train mode."""
+    _, cache = forward_cached(model, features, nn.TRAIN, rng=rng, update_running=False)
     _, _, bn_out, mask = cache.layer_io[0][0]
     block_out = cache.level_io[0][0].reshape(bn_out.shape)
     return nn.relu(bn_out), mask, block_out
@@ -214,24 +214,28 @@ def test_dropout_rate_zero_is_identity():
     x = gaussian(rng, (4, 3, 4))
     masks = new_rng(0)
     untouched = masks.bit_generator.state
-    relu_out, mask, out = first_layer_dropout(dropout_model(0.0), x, nn.TRAIN, masks)
+    relu_out, mask, out = first_layer_dropout(dropout_model(0.0), x, masks)
     assert mask is None
     assert np.array_equal(out, relu_out)
     assert masks.bit_generator.state == untouched
 
 
 def test_dropout_infer_is_identity():
+    # Infer mode applies no dropout, so a layer's output is its ReLU output,
+    # unscaled: a rate-0.4 model scores exactly like its rate-0 twin (same
+    # init seed, so identical weights).
     rng = new_rng(7)
     x = gaussian(rng, (4, 3, 4))
-    relu_out, mask, out = first_layer_dropout(dropout_model(0.4), x, nn.INFER)
-    assert mask is None
-    assert np.array_equal(out, relu_out)
+    dropped = forward(dropout_model(0.4), x, nn.INFER)
+    plain = forward(dropout_model(0.0), x, nn.INFER)
+    assert np.array_equal(dropped.z, plain.z)
+    assert np.array_equal(dropped.level_att[0], plain.level_att[0])
 
 
 def test_dropout_preserves_expectation():
     x = gaussian(new_rng(5), (10, 10, 4))
     model = dropout_model(0.4, hidden=1000)
-    relu_out, mask, out = first_layer_dropout(model, x, nn.TRAIN, new_rng(8))
+    relu_out, mask, out = first_layer_dropout(model, x, new_rng(8))
     assert mask.shape == (100, 1000)
     assert 0.97 <= mask.mean() <= 1.03
     assert np.allclose(mask[mask != 0], 1.0 / 0.6)

@@ -136,6 +136,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**base)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match=f"lr must be finite and >= 0, got {lr}"):
+            TrainConfig(arch="3-A", epochs=3, lr=lr)
+
 
 def small_split(seed=3):
     cfg = SynthConfig(
