@@ -101,6 +101,7 @@ def backward_batch(
     k = head.n_classes
     att_x, att_w, att_b = dense_backward(rows, head.att_dense, grad_att_logits.reshape(-1, k))
     cls_x, cls_w, cls_b = dense_backward(rows, head.cls_dense, grad_cls_logits.reshape(-1, k))
-    grad_h = (att_x + cls_x).reshape(h.shape)
+    att_x += cls_x
+    grad_h = att_x.reshape(h.shape)
     return grad_h, {"att.weight": att_w, "att.bias": att_b, "cls.weight": cls_w, "cls.bias": cls_b}
 

@@ -213,8 +213,10 @@ class _ForwardCache:
     mode: str
     n_clips: int
     n_frames: int
-    # per block, per layer: (dense input, dense output, batch-norm output, dropout mask)
-    layer_io: list[list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]]
+    # per block, per layer: (dense input, dense output, batch mean, batch var,
+    # layer output, dropout mask); the layer output is the batch-norm output
+    # after ReLU and dropout, both applied in place
+    layer_io: list[list[tuple[np.ndarray, ...]]]
     # per level: (block output (n_clips, n_frames, width), weights, frame_probs, denom)
     level_io: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     u: np.ndarray
@@ -264,16 +266,16 @@ def forward_cached(
     for block, head in zip(model.blocks, model.heads):
         block_io = []
         for layer in block:
-            dense_in = x
-            dense_out = nn.dense_forward(dense_in, layer.dense)
-            bn_out = nn.batchnorm_forward(dense_out, layer.bn, mode, update_running)
-            x = nn.relu(bn_out)
+            dense_out = nn.dense_forward(x, layer.dense)
+            out, mean, var = nn.batchnorm_forward(dense_out, layer.bn, mode, update_running)
+            nn.relu(out)
             mask = None
             if use_dropout:
-                mask = dropout_mask(rng, x.shape, model.dropout_rate)
-                x *= mask
+                mask = dropout_mask(rng, out.shape, model.dropout_rate)
+                out *= mask
             if retain:
-                block_io.append((dense_in, dense_out, bn_out, mask))
+                block_io.append((x, dense_out, mean, var, out, mask))
+            x = out
         if retain:
             layer_io.append(block_io)
 
@@ -322,15 +324,20 @@ def backward(
             grads[f"head{l}.{name}"] = value
         grad_x = grad_h.reshape(cache.n_clips * cache.n_frames, -1)
         if grad_from_above is not None:
-            grad_x = grad_x + grad_from_above
+            grad_x += grad_from_above
 
+        # grad_x is always a fresh array here, so the kernels may overwrite it
         for j in range(len(model.blocks[l]) - 1, -1, -1):
             layer = model.blocks[l][j]
-            dense_in, dense_out, bn_out, mask = cache.layer_io[l][j]
+            dense_in, dense_out, mean, var, out, mask = cache.layer_io[l][j]
             if mask is not None:
-                grad_x = grad_x * mask
-            grad_x = nn.relu_backward(bn_out, grad_x)
-            grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(dense_out, layer.bn, grad_x)
+                grad_x *= mask
+            # out > 0 only where the batch-norm output was > 0; where dropout
+            # zeroed a unit, grad_x is already zero
+            grad_x = nn.relu_backward(out, grad_x)
+            grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(
+                dense_out, mean, var, layer.bn, grad_x
+            )
             grad_x, grad_w, grad_b = nn.dense_backward(dense_in, layer.dense, grad_x)
             prefix = f"block{l}.layer{j}"
             grads[f"{prefix}.weight"] = grad_w

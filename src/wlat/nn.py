@@ -3,9 +3,15 @@
 Everything operates on 2-D float64 arrays (rows = batch items, columns =
 features).  There is no autodiff graph: each layer exposes a forward
 function and a matching backward function, and :func:`grad_check` verifies
-any analytic gradient against central finite differences.  The forward
-kernels work in place on arrays they allocate themselves and never write
-to their inputs.
+any analytic gradient against central finite differences.
+
+In-place contract.  The forward kernels work in place on arrays they
+allocate themselves and never write to their inputs, except :func:`relu`,
+which clamps the array it is given (the model passes it the batch-norm
+output it just allocated).  A backward kernel may overwrite its
+``grad_out`` argument and may return it as its input gradient, so a caller
+passes a gradient it owns and does not read it afterwards.  No backward
+kernel writes to ``x``, to a layer's state or to a cached activation.
 """
 
 from __future__ import annotations
@@ -67,11 +73,17 @@ def dense_backward(
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    """max(x, 0) in place; returns ``x``."""
+    return np.maximum(x, 0.0, out=x)
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, grad_out, 0.0)
+    """``grad_out`` times the step of ``x`` (the ReLU's input or output), in place.
+
+    Where ``x <= 0`` a finite gradient becomes a zero of its own sign.
+    """
+    grad_out *= x > 0.0
+    return grad_out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -121,55 +133,74 @@ class BatchNormState:
 
 def batchnorm_forward(
     x: np.ndarray, state: BatchNormState, mode: str, update_running: bool = True
-) -> np.ndarray:
-    """Column-normalize by batch statistics (train) or running statistics (infer)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-normalize by batch statistics (train) or running statistics (infer).
+
+    Returns (out, mean, var): the output and the statistics it was
+    normalized with, which :func:`batchnorm_backward` takes back.
+    """
     if mode not in (TRAIN, INFER):
         raise ValueError(f"mode must be {TRAIN!r} or {INFER!r}, got {mode!r}")
     if mode == TRAIN:
         if x.shape[0] < 2:
             raise ValueError(f"train-mode batch norm needs >= 2 rows, got {x.shape[0]}")
         mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        out = x - mean
+        # x.var(axis=0): the mean of the squared deviations held in ``out``
+        var = np.square(out).sum(axis=0)
+        var /= x.shape[0]
         if update_running:
             state.running_mean = BN_MOMENTUM * state.running_mean + (1.0 - BN_MOMENTUM) * mean
             state.running_var = BN_MOMENTUM * state.running_var + (1.0 - BN_MOMENTUM) * var
     else:
         mean = state.running_mean
         var = state.running_var
-    out = x - mean
+        out = x - mean
     out /= np.sqrt(var + BN_EPSILON)
     out *= state.gamma
     out += state.beta
-    return out
+    return out, mean, var
 
 
 def batchnorm_backward(
-    x: np.ndarray, state: BatchNormState, grad_out: np.ndarray
+    x: np.ndarray, mean: np.ndarray, var: np.ndarray, state: BatchNormState, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Train-mode backward; recomputes the batch statistics from ``x``.
+    """Train-mode backward, given the batch ``mean`` and ``var`` the forward returned.
 
     grad_x folds in the dependence of the batch mean and variance on every
     row: with g = grad wrt the normalized values,
     grad_x = (g - mean(g) - x_hat * mean(g * x_hat)) / sqrt(var + eps).
-    Returns (grad_x, grad_gamma, grad_beta).
+    Returns (grad_x, grad_gamma, grad_beta); grad_x is ``grad_out``,
+    overwritten.
     """
     n = x.shape[0]
-    mean = x.mean(axis=0)
-    var = x.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-    x_hat = (x - mean) * inv_std
+    inv_std = np.sqrt(var + BN_EPSILON)
+    np.divide(1.0, inv_std, out=inv_std)
+    x_hat = x - mean
+    x_hat *= inv_std
 
     grad_beta = grad_out.sum(axis=0)
-    grad_gamma = (grad_out * x_hat).sum(axis=0)
-    g = grad_out * state.gamma
-    grad_x = inv_std * (g - g.sum(axis=0) / n - x_hat * (g * x_hat).sum(axis=0) / n)
-    return grad_x, grad_gamma, grad_beta
+    product = grad_out * x_hat
+    grad_gamma = product.sum(axis=0)
+    g = grad_out
+    g *= state.gamma
+    g_mean = g.sum(axis=0)
+    g_mean /= n
+    np.multiply(g, x_hat, out=product)
+    x_hat *= product.sum(axis=0)
+    x_hat /= n
+    g -= g_mean
+    g -= x_hat
+    g *= inv_std
+    return g, grad_gamma, grad_beta
 
 
 def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Scaled keep-mask: 0 with probability ``rate``, else 1/(1-rate)."""
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask *= 1.0 / (1.0 - rate)
+    return mask
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:

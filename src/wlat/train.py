@@ -80,11 +80,22 @@ def adam_step(
             raise ValueError(f"gradient shape {grad.shape} != parameter shape {param.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
+        # param -= lr * (m / m_correction) / (sqrt(v / v_correction) + eps),
+        # each step in place, in that order
+        step = grad * (1.0 - ADAM_BETA1)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * grad
+        m += step
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+        step *= grad
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * grad * grad
-        param -= state.lr * (m / m_correction) / (np.sqrt(v / v_correction) + ADAM_EPSILON)
+        v += step
+        denom = v / v_correction
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPSILON
+        np.divide(m, m_correction, out=step)
+        step *= state.lr
+        step /= denom
+        param -= step
 
 
 @dataclass(frozen=True)
@@ -180,7 +191,11 @@ def fit(
             if not math.isfinite(loss):
                 raise ValueError(f"training loss {loss} is not finite at epoch {epoch}, "
                                  f"step {adam.t + 1}")
-            adam_step(params, backward(model, cache, grad_z), adam)
+            grads = backward(model, cache, grad_z)
+            if not any(grad.any() for grad in grads.values()):
+                raise ValueError(f"every gradient is zero at epoch {epoch}, step {adam.t + 1}: "
+                                 "the output layer is saturated")
+            adam_step(params, grads, adam)
             loss_sum += loss * batch.size
         epoch_loss = loss_sum / n_train
 

@@ -237,6 +237,18 @@ def test_train_stops_at_non_finite_loss(tiny_dataset, tmp_path, capsys):
     assert not (tmp_path / "run" / "model.wlam").exists()
 
 
+def test_train_stops_when_every_gradient_is_zero(tiny_dataset, tmp_path, capsys):
+    train, valid = tiny_dataset
+    code = run_cli(
+        "train", "--arch", "1-A", "--train", train, "--valid", valid,
+        "--out", tmp_path / "run", "--epochs", 3, "--batch-size", 8,
+        "--hidden-units", 6, "--lr", 1e6,
+    )
+    assert code == 1
+    assert "every gradient is zero at epoch 1, step" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.wlam").exists()
+
+
 @pytest.fixture(scope="module")
 def overfit_artifacts(tmp_path_factory):
     """Dataset plus a checkpoint trained until it ranks that dataset perfectly."""

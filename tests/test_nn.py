@@ -91,13 +91,15 @@ def test_dense_backward_finite_differences(seed):
 
 
 def test_relu_definition():
-    out = nn.relu(np.array([[-1.0, 0.0, 2.0]]))
+    x = np.array([[-1.0, 0.0, 2.0]])
+    out = nn.relu(x)
     assert out.tolist() == [[0.0, 0.0, 2.0]]
+    assert out is x  # in place
 
 
 def test_relu_all_negative():
     x = -np.ones((2, 3))
-    assert not nn.relu(x).any()
+    assert not nn.relu(x.copy()).any()
     assert not nn.relu_backward(x, np.ones((2, 3))).any()
 
 
@@ -109,9 +111,9 @@ def test_relu_backward_finite_differences(seed):
     direction = gaussian(rng, (4, 3))
 
     def loss():
-        return float((nn.relu(x) * direction).sum())
+        return float((nn.relu(x.copy()) * direction).sum())
 
-    analytic = {"x": nn.relu_backward(x, direction)}
+    analytic = {"x": nn.relu_backward(x, direction.copy())}
     assert nn.grad_check(loss, {"x": x}, analytic) < 1e-6
 
 
@@ -148,7 +150,7 @@ def test_batchnorm_train_normalizes():
     rng = new_rng(3)
     x = 6.0 * gaussian(rng, (64, 5)) + 7.0
     state = nn.BatchNormState.init(5)
-    out = nn.batchnorm_forward(x, state, nn.TRAIN)
+    out, _, _ = nn.batchnorm_forward(x, state, nn.TRAIN)
     assert np.max(np.abs(out.mean(axis=0))) < 1e-9
     assert np.max(np.abs(out.var(axis=0) - 1.0)) < 1e-6
 
@@ -157,7 +159,7 @@ def test_batchnorm_infer_identity_statistics():
     rng = new_rng(4)
     x = gaussian(rng, (6, 3))
     state = nn.BatchNormState.init(3)
-    out = nn.batchnorm_forward(x, state, nn.INFER)
+    out, _, _ = nn.batchnorm_forward(x, state, nn.INFER)
     assert np.allclose(out, x, rtol=1e-4)
 
 
@@ -188,9 +190,11 @@ def test_batchnorm_backward_finite_differences(seed):
     direction = gaussian(rng, (8, 3))
 
     def loss():
-        return float((nn.batchnorm_forward(x, state, nn.TRAIN, update_running=False) * direction).sum())
+        out, _, _ = nn.batchnorm_forward(x, state, nn.TRAIN, update_running=False)
+        return float((out * direction).sum())
 
-    grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(x, state, direction)
+    _, mean, var = nn.batchnorm_forward(x, state, nn.TRAIN, update_running=False)
+    grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(x, mean, var, state, direction.copy())
     params = {"x": x, "gamma": state.gamma, "beta": state.beta}
     analytic = {"x": grad_x, "gamma": grad_gamma, "beta": grad_beta}
     assert nn.grad_check(loss, params, analytic) < 1e-5
@@ -204,7 +208,8 @@ def dropout_model(rate, hidden=4):
 def first_layer_dropout(model, features, rng):
     """(relu output, mask, block output) of the model's first hidden layer, in train mode."""
     _, cache = forward_cached(model, features, nn.TRAIN, rng=rng, update_running=False)
-    _, _, bn_out, mask = cache.layer_io[0][0]
+    _, dense_out, _, _, _, mask = cache.layer_io[0][0]
+    bn_out, _, _ = nn.batchnorm_forward(dense_out, model.blocks[0][0].bn, nn.TRAIN, False)
     block_out = cache.level_io[0][0].reshape(bn_out.shape)
     return nn.relu(bn_out), mask, block_out
 
@@ -260,10 +265,10 @@ def test_finite_in_finite_out():
     state = nn.BatchNormState.init(4)
     for out in (
         nn.dense_forward(x, layer),
-        nn.relu(x),
+        nn.relu(x.copy()),
         nn.sigmoid(x),
         nn.softmax_rows(x),
-        nn.batchnorm_forward(x, state, nn.TRAIN),
+        nn.batchnorm_forward(x, state, nn.TRAIN)[0],
     ):
         assert np.isfinite(out).all()
 

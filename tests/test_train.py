@@ -266,6 +266,16 @@ class TestFit:
             fit(small_model(), train, valid, cfg)
         assert len(batches) == 2
 
+    def test_saturated_output_names_epoch_and_step(self, record_batches):
+        # lr=1e6 saturates the output sigmoid after one step; the BCE clamp
+        # then zeroes every gradient and the loss would stay at 6.044 forever
+        _, train, valid = small_split()
+        batches = record_batches(train)
+        cfg = TrainConfig(arch="1-A", epochs=3, batch_size=8, lr=1e6, seed=9)
+        with pytest.raises(ValueError, match="every gradient is zero at epoch 1, step 2:"):
+            fit(small_model(), train, valid, cfg)
+        assert len(batches) == 2
+
     def test_arch_mismatch_rejected(self):
         _, train, valid = small_split()
         with pytest.raises(ValueError, match="arch"):
