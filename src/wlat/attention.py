@@ -39,10 +39,6 @@ class AttentionHead:
     att_dense: DenseLayer
     cls_dense: DenseLayer
 
-    @classmethod
-    def init(cls, rng: np.random.Generator, n_in: int, n_classes: int) -> "AttentionHead":
-        return cls(DenseLayer.init(rng, n_in, n_classes), DenseLayer.init(rng, n_in, n_classes))
-
     @property
     def n_classes(self) -> int:
         return self.att_dense.n_out

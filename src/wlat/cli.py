@@ -205,6 +205,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         epochs=int(merged["epochs"]),
         batch_size=int(merged["batch_size"]),
         lr=float(merged["lr"]),
+        dropout=float(merged["dropout"]),
         seed=int(merged["seed"]),
         eval_every=int(merged["eval_every"]),
         early_stop_patience=int(merged["patience"]),
@@ -222,9 +223,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
 
     spec = parse_arch(str(merged["arch"]), int(merged["hidden_units"]), train_header.n_classes)
-    model = build_model(
-        spec, train_header.n_features, int(merged["init_seed"]), float(merged["dropout"])
-    )
+    model = build_model(spec, train_header.n_features, int(merged["init_seed"]))
     result = fit(model, train_samples, valid_samples, cfg)
 
     weights_path = os.path.join(out_dir, "model.wlam")
@@ -310,7 +309,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         raise UsageError(f"--toy-dims must be four comma-separated integers: {err}") from None
 
     spec = parse_arch(str(merged["arch"]), hidden, n_classes)
-    model = build_model(spec, n_features, int(merged["seed"]), dropout_rate=0.0)
+    model = build_model(spec, n_features, int(merged["seed"]))
     rng = new_rng(int(merged["seed"]) + 1)
     features = gaussian(rng, (3, n_frames, n_features))
     targets = (rng.random((3, n_classes)) < 0.5).astype(np.float64)

@@ -2,10 +2,12 @@
 
 An architecture string like ``"2-A-1-A"`` lists embedding blocks: two dense
 layers, an attention head, one more dense layer, another attention head.
-Every dense layer is width ``hidden_units`` and is followed by batch norm,
-ReLU and (at train time) dropout.  Each head pools its block's output into
-a per-class probability vector; the level vectors are concatenated and a
-final dense+sigmoid layer maps the concatenation to the clip probabilities.
+Every dense layer is width ``hidden_units`` and is followed by batch norm
+and ReLU (and, in a training forward, dropout at the caller's rate).  Each
+head pools its block's output into a per-class probability vector; the
+level vectors are concatenated and a final dense+sigmoid layer maps the
+concatenation to the clip probabilities.  A model holds exactly what its
+weight file stores, so a loaded checkpoint is the whole model.
 
 Weight file format (all little-endian): magic ``WLAM``, version u32,
 n_blocks u32, block depths (u32 each), hidden_units u32, n_classes u32,
@@ -74,7 +76,7 @@ class ArchSpec:
         return len(self.block_depths)
 
 
-def parse_arch(text: str, hidden_units: int = 600, n_classes: int = 527) -> ArchSpec:
+def parse_arch(text: str, hidden_units: int, n_classes: int) -> ArchSpec:
     """Parse ``"<depth>-A-<depth>-A-..."`` into an :class:`ArchSpec`.
 
     Raises ValueError naming the character position of the first bad token.
@@ -100,7 +102,7 @@ def parse_arch(text: str, hidden_units: int = 600, n_classes: int = 527) -> Arch
 
 @dataclass
 class LayerStack:
-    """One hidden unit of an embedding block: dense + batch norm (+ ReLU/dropout)."""
+    """One hidden layer of an embedding block: dense + batch norm (+ ReLU)."""
 
     dense: DenseLayer
     bn: BatchNormState
@@ -113,7 +115,6 @@ class MultiLevelModel:
     blocks: list[list[LayerStack]]
     heads: list[AttentionHead]
     out: DenseLayer  # (n_classes * n_levels) -> n_classes
-    dropout_rate: float = 0.4
 
     def state_params(self) -> dict[str, np.ndarray]:
         """Live views of every persisted array, in fixed traversal order."""
@@ -155,13 +156,10 @@ def _assemble(
     spec: ArchSpec,
     input_dim: int,
     dense: Callable[[int, int], DenseLayer],
-    dropout_rate: float,
 ) -> MultiLevelModel:
     """The model's structure; ``dense(n_in, n_out)`` makes each dense layer in traversal order."""
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     h, k = spec.hidden_units, spec.n_classes
     blocks = []
     width_in = input_dim
@@ -173,71 +171,38 @@ def _assemble(
         blocks.append(block)
     heads = [AttentionHead(dense(h, k), dense(h, k)) for _ in spec.block_depths]
     out = dense(k * spec.n_levels, k)
-    return MultiLevelModel(spec, input_dim, blocks, heads, out, dropout_rate)
+    return MultiLevelModel(spec, input_dim, blocks, heads, out)
 
 
-def build_model(
-    spec: ArchSpec, input_dim: int, init_seed: int, dropout_rate: float = 0.4
-) -> MultiLevelModel:
+def build_model(spec: ArchSpec, input_dim: int, init_seed: int) -> MultiLevelModel:
     """Deterministically initialize a model: Glorot-uniform weights, zero biases.
 
     Draws come from one PCG64 stream seeded by ``init_seed``, consumed in
     traversal order, so identical (spec, input_dim, seed) give bitwise-
     identical parameters.
     """
-    return _assemble(spec, input_dim, partial(DenseLayer.init, new_rng(init_seed)), dropout_rate)
+    return _assemble(spec, input_dim, partial(DenseLayer.init, new_rng(init_seed)))
 
 
 @dataclass(frozen=True)
-class BatchPrediction:
-    """Forward results for a batch of clips."""
+class ForwardPass:
+    """One forward pass over a batch of clips.
 
-    z: np.ndarray  # (n_clips, n_classes), final probabilities
-    u: np.ndarray  # (n_clips, n_classes * n_levels), concatenated level outputs
-    level_y: list[np.ndarray]  # per level (n_clips, n_classes)
-    level_att: list[np.ndarray]  # per level (n_clips, n_frames, n_classes)
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.level_y)
-
-
-@dataclass
-class _ForwardCache:
-    """Intermediates retained by a train-mode forward for the backward pass.
-
-    An infer-mode forward retains none: its ``layer_io`` and ``level_io``
-    stay empty.
+    A train-mode pass also retains what :func:`backward` needs: ``u``,
+    ``layer_io`` and ``level_io``.  An infer-mode pass retains none of
+    them, so each activation is freed as soon as the next one exists.
     """
 
     mode: str
-    n_clips: int
-    n_frames: int
+    z: np.ndarray  # (n_clips, n_classes), final probabilities
+    level_att: list[np.ndarray]  # per level (n_clips, n_frames, n_classes)
+    u: np.ndarray | None  # (n_clips, n_classes * n_levels), concatenated level outputs
     # per block, per layer: (dense input, dense output, batch mean, batch var,
     # layer output, dropout mask); the layer output is the batch-norm output
     # after ReLU and dropout, both applied in place
     layer_io: list[list[tuple[np.ndarray, ...]]]
     # per level: (block output (n_clips, n_frames, width), weights, frame_probs, denom)
     level_io: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    u: np.ndarray
-    z: np.ndarray
-
-
-def forward(
-    model: MultiLevelModel,
-    features: np.ndarray,
-    mode: str = INFER,
-    rng: np.random.Generator | None = None,
-    update_running: bool = True,
-) -> BatchPrediction:
-    """Run clips of shape (n_clips, n_frames, input_dim) through the model.
-
-    Train mode normalizes with batch statistics (over all frames of all
-    clips), applies dropout masks from ``rng``, and updates running
-    statistics; infer mode uses running statistics and no dropout.
-    """
-    prediction, _ = forward_cached(model, features, mode, rng, update_running)
-    return prediction
 
 
 def forward_cached(
@@ -245,13 +210,21 @@ def forward_cached(
     features: np.ndarray,
     mode: str,
     rng: np.random.Generator | None = None,
+    dropout: float = 0.0,
     update_running: bool = True,
-) -> tuple[BatchPrediction, _ForwardCache]:
+) -> ForwardPass:
+    """Run clips of shape (n_clips, n_frames, input_dim) through the model.
+
+    Train mode normalizes with batch statistics (over all frames of all
+    clips), zeroes units at rate ``dropout`` with masks from ``rng``, and
+    updates running statistics; infer mode uses running statistics and no
+    dropout.
+    """
     if features.ndim != 3 or features.shape[2] != model.input_dim:
         raise ValueError(
             f"features shape {features.shape} incompatible with input_dim={model.input_dim}"
         )
-    use_dropout = mode == TRAIN and model.dropout_rate > 0.0
+    use_dropout = mode == TRAIN and dropout > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng for the masks")
 
@@ -266,16 +239,20 @@ def forward_cached(
     for block, head in zip(model.blocks, model.heads):
         block_io = []
         for layer in block:
-            dense_out = nn.dense_forward(x, layer.dense)
-            out, mean, var = nn.batchnorm_forward(dense_out, layer.bn, mode, update_running)
-            nn.relu(out)
+            # Only x carries an activation from one step to the next, so in
+            # infer mode each layer's input and dense output are freed as
+            # soon as they are used.
+            dense_in = x if retain else None
+            x = nn.dense_forward(x, layer.dense)
+            dense_out = x if retain else None
+            x, mean, var = nn.batchnorm_forward(x, layer.bn, mode, update_running)
+            nn.relu(x)
             mask = None
             if use_dropout:
-                mask = dropout_mask(rng, out.shape, model.dropout_rate)
-                out *= mask
+                mask = dropout_mask(rng, x.shape, dropout)
+                x *= mask
             if retain:
-                block_io.append((x, dense_out, mean, var, out, mask))
-            x = out
+                block_io.append((dense_in, dense_out, mean, var, x, mask))
         if retain:
             layer_io.append(block_io)
 
@@ -285,51 +262,50 @@ def forward_cached(
             level_io.append((h, weights, frame_probs, denom))
         level_y.append(y)
         level_att.append(weights)
+        del h, frame_probs, denom  # in infer mode, nothing else holds them
 
     u = np.concatenate(level_y, axis=1)
     z = nn.sigmoid(nn.dense_forward(u, model.out))
-    prediction = BatchPrediction(z, u, level_y, level_att)
-    cache = _ForwardCache(mode, n_clips, n_frames, layer_io, level_io, u, z)
-    return prediction, cache
+    return ForwardPass(mode, z, level_att, u if retain else None, layer_io, level_io)
 
 
 def backward(
-    model: MultiLevelModel, cache: _ForwardCache, grad_z: np.ndarray
+    model: MultiLevelModel, fwd: ForwardPass, grad_z: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Gradients of every trainable parameter, keyed like ``trainable_params``.
 
-    Requires the cache of a matching train-mode forward (dropout masks are
-    reused, batch-norm gradients assume batch statistics).
+    Requires a matching train-mode forward pass (dropout masks are reused,
+    batch-norm gradients assume batch statistics).
     """
-    if cache.mode != TRAIN:
-        raise ValueError("backward requires a cache from a train-mode forward")
-    if grad_z.shape != cache.z.shape:
-        raise ValueError(f"grad_z shape {grad_z.shape} != {cache.z.shape}")
+    if fwd.mode != TRAIN:
+        raise ValueError("backward requires a train-mode forward pass")
+    if grad_z.shape != fwd.z.shape:
+        raise ValueError(f"grad_z shape {grad_z.shape} != {fwd.z.shape}")
 
     grads: dict[str, np.ndarray] = {}
     k = model.spec.n_classes
 
-    grad_pre = grad_z * cache.z * (1.0 - cache.z)
-    grad_u, grads["out.weight"], grads["out.bias"] = nn.dense_backward(cache.u, model.out, grad_pre)
+    grad_pre = grad_z * fwd.z * (1.0 - fwd.z)
+    grad_u, grads["out.weight"], grads["out.bias"] = nn.dense_backward(fwd.u, model.out, grad_pre)
 
     # Levels feed only the concatenation, so walk blocks from deepest to
     # shallowest, merging each head's gradient with the one flowing down
     # from the block above.
     grad_from_above: np.ndarray | None = None
     for l in range(model.spec.n_levels - 1, -1, -1):
-        h, weights, frame_probs, denom = cache.level_io[l]
+        h, weights, frame_probs, denom = fwd.level_io[l]
         grad_y = grad_u[:, l * k : (l + 1) * k]
         grad_h, head_grads = backward_batch(h, model.heads[l], weights, frame_probs, denom, grad_y)
         for name, value in head_grads.items():
             grads[f"head{l}.{name}"] = value
-        grad_x = grad_h.reshape(cache.n_clips * cache.n_frames, -1)
+        grad_x = grad_h.reshape(-1, grad_h.shape[2])
         if grad_from_above is not None:
             grad_x += grad_from_above
 
         # grad_x is always a fresh array here, so the kernels may overwrite it
         for j in range(len(model.blocks[l]) - 1, -1, -1):
             layer = model.blocks[l][j]
-            dense_in, dense_out, mean, var, out, mask = cache.layer_io[l][j]
+            dense_in, dense_out, mean, var, out, mask = fwd.layer_io[l][j]
             if mask is not None:
                 grad_x *= mask
             # out > 0 only where the batch-norm output was > 0; where dropout
@@ -356,7 +332,7 @@ def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
     """
     step = max(1, INFER_CHUNK_ROWS // max(1, features.shape[1]))
     outputs = [
-        forward(model, features[start : start + step], INFER).z
+        forward_cached(model, features[start : start + step], INFER).z
         for start in range(0, features.shape[0], step)
     ]
     return np.concatenate(outputs, axis=0)
@@ -370,19 +346,16 @@ def model_grad_check(
 ) -> float:
     """Finite-difference check of the full backward pass; see nn.grad_check.
 
-    The model must be deterministic: dropout disabled.  Runs in train mode
-    (batch statistics) with running-stat updates off.
+    Runs in train mode (batch statistics) without dropout and with
+    running-stat updates off, so every forward is deterministic.
     """
-    if model.dropout_rate > 0.0:
-        raise ValueError("non-deterministic configuration: dropout is enabled")
 
     def loss_fn() -> float:
-        pred, _ = forward_cached(model, features, TRAIN, update_running=False)
-        return loss_on_z(pred.z)[0]
+        return loss_on_z(forward_cached(model, features, TRAIN, update_running=False).z)[0]
 
-    pred, cache = forward_cached(model, features, TRAIN, update_running=False)
-    _, grad_z = loss_on_z(pred.z)
-    analytic = backward(model, cache, grad_z)
+    fwd = forward_cached(model, features, TRAIN, update_running=False)
+    _, grad_z = loss_on_z(fwd.z)
+    analytic = backward(model, fwd, grad_z)
     return nn.grad_check(loss_fn, model.trainable_params(), analytic, step)
 
 
@@ -410,9 +383,7 @@ def _empty_dense(n_in: int, n_out: int) -> DenseLayer:
     return DenseLayer(np.empty((n_in, n_out)), np.empty(n_out))
 
 
-def load_weights(
-    source: BinaryIO, spec: ArchSpec | None = None, dropout_rate: float = 0.4
-) -> MultiLevelModel:
+def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelModel:
     """Rebuild a model from :func:`save_weights` bytes; the header is the architecture.
 
     A given ``spec`` is a cross-check: a file holding another architecture
@@ -446,7 +417,7 @@ def load_weights(
         raise WeightFormatError(f"truncated weight stream: {stored} needs {size} parameter bytes")
     if len(blob) - offset > size:
         raise WeightFormatError("trailing bytes after final parameter array")
-    model = _assemble(stored, input_dim, _empty_dense, dropout_rate)
+    model = _assemble(stored, input_dim, _empty_dense)
     values = np.frombuffer(blob, dtype="<f8", offset=offset)
     for arr in model.state_params().values():
         arr[...] = values[: arr.size].reshape(arr.shape)

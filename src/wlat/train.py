@@ -53,11 +53,11 @@ class AdamState:
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    lr: float
     t: int = 0
-    lr: float = 0.001
 
     @classmethod
-    def init(cls, params: dict[str, np.ndarray], lr: float = 0.001) -> "AdamState":
+    def init(cls, params: dict[str, np.ndarray], lr: float) -> "AdamState":
         return cls(
             m={name: np.zeros_like(arr) for name, arr in params.items()},
             v={name: np.zeros_like(arr) for name, arr in params.items()},
@@ -104,6 +104,7 @@ class TrainConfig:
     epochs: int
     batch_size: int = 500
     lr: float = 0.001
+    dropout: float = 0.4
     seed: int = 0
     eval_every: int = 1
     early_stop_patience: int = 0  # 0 disables early stopping
@@ -113,6 +114,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.eval_every < 1:
@@ -186,12 +189,12 @@ def fit(
         loss_sum = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            prediction, cache = forward_cached(model, x_train[batch], TRAIN, rng=dropout_rng)
-            loss, grad_z = bce_loss(prediction.z, y_train[batch])
+            fwd = forward_cached(model, x_train[batch], TRAIN, dropout_rng, cfg.dropout)
+            loss, grad_z = bce_loss(fwd.z, y_train[batch])
             if not math.isfinite(loss):
                 raise ValueError(f"training loss {loss} is not finite at epoch {epoch}, "
                                  f"step {adam.t + 1}")
-            grads = backward(model, cache, grad_z)
+            grads = backward(model, fwd, grad_z)
             if not any(grad.any() for grad in grads.values()):
                 raise ValueError(f"every gradient is zero at epoch {epoch}, step {adam.t + 1}: "
                                  "the output layer is saturated")

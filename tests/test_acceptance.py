@@ -27,7 +27,7 @@ from wlat.model import (
     PRESET_ARCHS,
     WeightFormatError,
     build_model,
-    forward,
+    forward_cached,
     load_weights,
     model_grad_check,
     parse_arch,
@@ -74,7 +74,7 @@ def test_criterion_3_gradient_integrity():
     worst = 0.0
     for arch in PRESET_ARCHS:
         spec = parse_arch(arch, hidden_units=5, n_classes=3)
-        model = build_model(spec, input_dim=4, init_seed=0, dropout_rate=0.0)
+        model = build_model(spec, input_dim=4, init_seed=0)
         rng = new_rng(1)
         features = gaussian(rng, (3, 2, 4))
         targets = (rng.random((3, 3)) < 0.5).astype(np.float64)
@@ -118,6 +118,11 @@ def naive_attention(h, head):
     return y
 
 
+def random_head(rng):
+    """A 5-wide, 4-class head with Glorot weights and zero biases."""
+    return AttentionHead(nn.DenseLayer.init(rng, 5, 4), nn.DenseLayer.init(rng, 5, 4))
+
+
 def pool_clip(h, head):
     """Pool one clip (n_frames, width) through the batched head: (y, weights)."""
     y, weights, _, _ = forward_batch(h[None], head)
@@ -129,7 +134,7 @@ def test_criterion_4_attention_oracle():
     for seed in range(100):
         rng = new_rng(seed)
         n_frames = int(rng.integers(1, 9))
-        head = AttentionHead.init(rng, 5, 4)
+        head = random_head(rng)
         head.att_dense.bias[:] = gaussian(rng, 4)
         head.cls_dense.bias[:] = gaussian(rng, 4)
         h = gaussian(rng, (n_frames, 5))
@@ -140,7 +145,7 @@ def test_criterion_4_attention_oracle():
         assert np.max(np.abs(pool_clip(h[perm], head)[0] - y)) < 1e-12
 
     rng = new_rng(1234)
-    head = AttentionHead.init(rng, 5, 4)
+    head = random_head(rng)
     head.cls_dense.bias[:] = gaussian(rng, 4)
     single = gaussian(rng, (1, 5))
     direct = nn.sigmoid(single @ head.cls_dense.weight + head.cls_dense.bias)[0]
@@ -209,7 +214,7 @@ def test_criterion_5_metric_oracles():
 
 def learning_run(arch, train_samples, valid_samples, n_features, n_classes):
     spec = parse_arch(arch, hidden_units=64, n_classes=n_classes)
-    model = build_model(spec, n_features, init_seed=0, dropout_rate=0.4)
+    model = build_model(spec, n_features, init_seed=0)
     cfg = TrainConfig(arch=arch, epochs=50, batch_size=100, lr=0.01, seed=0, eval_every=5)
     return model, fit(model, train_samples, valid_samples, cfg)
 
@@ -254,7 +259,7 @@ def test_criterion_6_synthetic_learning(learning_results):
 def test_criterion_7_attention_concentration(learning_results):
     cfg, valid_samples, truth, runs, _, _ = learning_results
     model, _ = runs["2-A-1-A"]
-    prediction = forward(model, stack_features(valid_samples))
+    prediction = forward_cached(model, stack_features(valid_samples), nn.INFER)
     ratios = []
     for i, sample in enumerate(valid_samples):
         for class_index, frames in truth[sample.id].items():
@@ -270,9 +275,9 @@ def test_criterion_8_overfit_sanity():
     cfg = SynthConfig(n_samples=10)
     samples, _ = generate_synthetic(cfg)
     spec = parse_arch("3-A", hidden_units=32, n_classes=cfg.n_classes)
-    model = build_model(spec, cfg.n_features, init_seed=0, dropout_rate=0.0)
+    model = build_model(spec, cfg.n_features, init_seed=0)
     result = fit(model, samples, samples, TrainConfig(
-        arch="3-A", epochs=500, batch_size=10, lr=0.1, seed=0, eval_every=100,
+        arch="3-A", epochs=500, batch_size=10, lr=0.1, dropout=0.0, seed=0, eval_every=100,
     ))
     hits = [
         int(line.split("\t")[1])
@@ -298,7 +303,7 @@ def test_criterion_9_format_round_trips():
     dataset_bitwise = first.getvalue() == second.getvalue()
 
     spec = parse_arch("2-A-1-A", hidden_units=5, n_classes=3)
-    model = build_model(spec, input_dim=4, init_seed=3, dropout_rate=0.0)
+    model = build_model(spec, input_dim=4, init_seed=3)
     saved = io.BytesIO()
     save_weights(model, saved)
     saved.seek(0)

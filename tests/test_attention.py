@@ -13,7 +13,9 @@ from wlat.rng import gaussian, new_rng
 
 
 def random_head(rng, width, n_classes):
-    head = AttentionHead.init(rng, width, n_classes)
+    head = AttentionHead(
+        nn.DenseLayer.init(rng, width, n_classes), nn.DenseLayer.init(rng, width, n_classes)
+    )
     head.att_dense.bias[:] = gaussian(rng, n_classes)
     head.cls_dense.bias[:] = gaussian(rng, n_classes)
     return head

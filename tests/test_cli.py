@@ -259,9 +259,9 @@ def overfit_artifacts(tmp_path_factory):
     with open(data_path, "wb") as handle:
         write_dataset(samples, cfg.header(), handle)
     spec = parse_arch("3-A", hidden_units=32, n_classes=cfg.n_classes)
-    model = build_model(spec, cfg.n_features, init_seed=0, dropout_rate=0.0)
+    model = build_model(spec, cfg.n_features, init_seed=0)
     result = fit(model, samples, samples, TrainConfig(
-        arch="3-A", epochs=500, batch_size=10, lr=0.1, seed=0, eval_every=100,
+        arch="3-A", epochs=500, batch_size=10, lr=0.1, dropout=0.0, seed=0, eval_every=100,
     ))
     assert result.best_map == 1.0
     model_path = root / "model.wlam"

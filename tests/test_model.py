@@ -18,7 +18,6 @@ from wlat.model import (
     WeightFormatError,
     backward,
     build_model,
-    forward,
     forward_cached,
     load_weights,
     model_grad_check,
@@ -33,41 +32,45 @@ from wlat.train import bce_loss
 TOY = dict(hidden_units=5, n_classes=3)
 
 
-def toy_model(arch="2-A-1-A", input_dim=4, seed=0, dropout_rate=0.0):
-    spec = parse_arch(arch, **TOY)
-    return build_model(spec, input_dim, init_seed=seed, dropout_rate=dropout_rate)
+def toy_model(arch="2-A-1-A", input_dim=4, seed=0):
+    return build_model(parse_arch(arch, **TOY), input_dim, init_seed=seed)
 
 
 class TestParseArch:
     def test_single_level(self):
-        spec = parse_arch("3-A")
+        spec = parse_arch("3-A", **TOY)
         assert spec.block_depths == (3,)
-        assert spec.hidden_units == 600
-        assert spec.n_classes == 527
+        assert spec.hidden_units == 5
+        assert spec.n_classes == 3
 
     def test_two_levels(self):
-        assert parse_arch("2-A-1-A").block_depths == (2, 1)
+        assert parse_arch("2-A-1-A", **TOY).block_depths == (2, 1)
 
     def test_three_levels(self):
-        assert parse_arch("2-A-2-A-2-A").block_depths == (2, 2, 2)
+        assert parse_arch("2-A-2-A-2-A", **TOY).block_depths == (2, 2, 2)
 
     @pytest.mark.parametrize("text", PRESET_ARCHS)
     def test_presets_all_parse(self, text):
-        spec = parse_arch(text)
+        spec = parse_arch(text, **TOY)
         assert spec.n_levels == text.count("A")
 
     def test_error_reports_position(self):
         with pytest.raises(ValueError, match="position 2"):
-            parse_arch("3-B")
+            parse_arch("3-B", **TOY)
 
     @pytest.mark.parametrize("text", ["", "A", "3", "3-A-2", "3-A-A", "-3-A", "3--A"])
     def test_malformed_strings_rejected(self, text):
         with pytest.raises(ValueError):
-            parse_arch(text)
+            parse_arch(text, **TOY)
 
     def test_zero_depth_rejected(self):
         with pytest.raises(ValueError):
-            parse_arch("0-A")
+            parse_arch("0-A", **TOY)
+
+    def test_dimensions_are_required(self):
+        # no silent paper shape (600 units, 527 classes) for a forgetful caller
+        with pytest.raises(TypeError):
+            parse_arch("3-A")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -80,7 +83,7 @@ class TestParseArch:
 
 class TestBuild:
     def test_single_level_structure(self):
-        spec = parse_arch("3-A")
+        spec = parse_arch("3-A", hidden_units=600, n_classes=527)
         model = build_model(spec, input_dim=128, init_seed=0)
         assert len(model.blocks) == 1
         assert len(model.blocks[0]) == 3
@@ -90,7 +93,7 @@ class TestBuild:
         assert model.blocks[0][1].dense.weight.shape == (600, 600)
 
     def test_multi_level_output_width(self):
-        spec = parse_arch("2-A-1-A")
+        spec = parse_arch("2-A-1-A", hidden_units=600, n_classes=527)
         model = build_model(spec, input_dim=64, init_seed=0)
         assert model.out.weight.shape == (2 * 527, 527)
         assert model.blocks[1][0].dense.weight.shape == (600, 600)
@@ -134,11 +137,6 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_model(parse_arch("3-A", **TOY), input_dim=0, init_seed=0)
 
-    @pytest.mark.parametrize("rate", [-0.5, 1.0, 1.5, float("nan")])
-    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
-        with pytest.raises(ValueError, match="dropout rate"):
-            toy_model(dropout_rate=rate)
-
     def test_trainables_are_state_without_running_stats(self):
         model = toy_model()
         state = model.state_params()
@@ -153,47 +151,47 @@ class TestForward:
     def test_single_level_concat_is_identity(self):
         model = toy_model("3-A")
         features = gaussian(new_rng(1), (4, 6, 4))
-        pred = forward(model, features)
-        assert np.array_equal(pred.u, pred.level_y[0])
+        fwd = forward_cached(model, features, TRAIN, update_running=False)
+        _, weights, frame_probs, _ = fwd.level_io[0]
+        assert np.array_equal(fwd.u, (weights * frame_probs).sum(axis=1))
 
     def test_output_shapes_and_range(self):
         model = toy_model("2-A-1-A")
         features = gaussian(new_rng(2), (5, 6, 4))
-        pred = forward(model, features)
-        assert pred.z.shape == (5, 3)
-        assert pred.u.shape == (5, 6)
-        assert pred.n_levels == 2
-        assert all(y.shape == (5, 3) for y in pred.level_y)
-        assert all(att.shape == (5, 6, 3) for att in pred.level_att)
-        assert ((pred.z > 0.0) & (pred.z < 1.0)).all()
+        fwd = forward_cached(model, features, TRAIN, update_running=False)
+        assert fwd.z.shape == (5, 3)
+        assert fwd.u.shape == (5, 6)
+        assert len(fwd.level_att) == 2
+        assert all(att.shape == (5, 6, 3) for att in fwd.level_att)
+        assert ((fwd.z > 0.0) & (fwd.z < 1.0)).all()
 
     def test_infer_is_deterministic(self):
         model = toy_model()
         features = gaussian(new_rng(3), (4, 6, 4))
-        first = forward(model, features)
-        second = forward(model, features)
+        first = forward_cached(model, features, INFER)
+        second = forward_cached(model, features, INFER)
         assert np.array_equal(first.z, second.z)
 
     def test_frame_permutation_leaves_scores_unchanged(self):
         model = toy_model("2-A-1-A")
         features = gaussian(new_rng(4), (3, 8, 4))
         perm = new_rng(5).permutation(8)
-        base = forward(model, features)
-        permuted = forward(model, features[:, perm, :])
+        base = forward_cached(model, features, INFER)
+        permuted = forward_cached(model, features[:, perm, :], INFER)
         assert np.max(np.abs(base.z - permuted.z)) < 1e-12
 
     def test_bad_feature_shape_rejected(self):
         model = toy_model()
         with pytest.raises(ValueError):
-            forward(model, np.zeros((4, 6)))
+            forward_cached(model, np.zeros((4, 6)), INFER)
         with pytest.raises(ValueError):
-            forward(model, np.zeros((4, 6, 9)))
+            forward_cached(model, np.zeros((4, 6, 9)), INFER)
 
     def test_dropout_needs_rng_in_train_mode(self):
-        model = toy_model(dropout_rate=0.4)
+        model = toy_model()
         features = gaussian(new_rng(7), (4, 6, 4))
         with pytest.raises(ValueError, match="rng"):
-            forward(model, features, TRAIN)
+            forward_cached(model, features, TRAIN, dropout=0.4)
 
     def test_predict_scores_matches_unchunked_forward(self):
         model = toy_model()
@@ -201,7 +199,7 @@ class TestForward:
         n_clips = 5 * INFER_CHUNK_ROWS // (2 * 6) + 1
         features = gaussian(new_rng(8), (n_clips, 6, 4))
         scores = predict_scores(model, features)
-        assert np.array_equal(scores, forward(model, features, INFER).z)
+        assert np.array_equal(scores, forward_cached(model, features, INFER).z)
 
     def test_predict_scores_memory_is_one_chunk(self):
         hidden, n_frames = 32, 10
@@ -216,61 +214,53 @@ class TestForward:
             tracemalloc.stop()
         # a few live activations of one chunk, not a cache of all eight
         assert peak < 8 * widest_activation
-        # ReLU runs in place on the batch-norm output, so no separate ReLU
-        # output is live (5.8 activations when there was one)
-        assert peak < 4.5 * widest_activation
+        # ReLU runs in place on the batch-norm output and each activation is
+        # freed once the next exists, so at most two are live at a time
+        assert peak < 3.0 * widest_activation
 
 
 class TestBackward:
     def test_infer_cache_retains_nothing_and_is_rejected(self):
         model = toy_model()
-        _, cache = forward_cached(model, gaussian(new_rng(9), (4, 6, 4)), INFER)
-        assert cache.layer_io == [] and cache.level_io == []
+        fwd = forward_cached(model, gaussian(new_rng(9), (4, 6, 4)), INFER)
+        assert fwd.u is None and fwd.layer_io == [] and fwd.level_io == []
         with pytest.raises(ValueError, match="train-mode forward"):
-            backward(model, cache, np.zeros((4, 3)))
+            backward(model, fwd, np.zeros((4, 3)))
 
     def test_zero_grad_gives_zero_everywhere(self):
         model = toy_model()
         features = gaussian(new_rng(9), (4, 6, 4))
-        _, cache = forward_cached(model, features, TRAIN, update_running=False)
-        grads = backward(model, cache, np.zeros((4, 3)))
+        fwd = forward_cached(model, features, TRAIN, update_running=False)
+        grads = backward(model, fwd, np.zeros((4, 3)))
         assert set(grads) == set(model.trainable_params())
         assert all(not g.any() for g in grads.values())
 
     def test_output_bias_gradient_is_column_sum(self):
         model = toy_model()
         features = gaussian(new_rng(10), (4, 6, 4))
-        pred, cache = forward_cached(model, features, TRAIN, update_running=False)
+        fwd = forward_cached(model, features, TRAIN, update_running=False)
         grad_z = gaussian(new_rng(11), (4, 3))
-        grads = backward(model, cache, grad_z)
-        expected = (grad_z * pred.z * (1.0 - pred.z)).sum(axis=0)
+        grads = backward(model, fwd, grad_z)
+        expected = (grad_z * fwd.z * (1.0 - fwd.z)).sum(axis=0)
         assert np.allclose(grads["out.bias"], expected, atol=1e-12)
 
     @pytest.mark.parametrize("arch", PRESET_ARCHS)
     def test_finite_differences_all_presets(self, arch):
-        spec = parse_arch(arch, **TOY)
-        model = build_model(spec, input_dim=4, init_seed=0, dropout_rate=0.0)
+        model = toy_model(arch)
         features = gaussian(new_rng(12), (3, 2, 4))
         targets = (gaussian(new_rng(13), (3, 3)) > 0.0).astype(float)
         error = model_grad_check(model, features, lambda z: bce_loss(z, targets))
         assert error < 1e-4, f"{arch}: {error:.3e}"
 
-    def test_grad_check_rejects_dropout(self):
-        model = toy_model(dropout_rate=0.4)
-        features = gaussian(new_rng(14), (3, 2, 4))
-        with pytest.raises(ValueError, match="dropout"):
-            model_grad_check(model, features, lambda z: bce_loss(z, np.zeros((3, 3))))
-
 
 class TestWeightFiles:
     def test_round_trip_is_bitwise(self):
         model = toy_model(seed=21)
-        rng = new_rng(22)
-        forward(model, gaussian(rng, (6, 4, 4)), TRAIN, rng=rng)
+        forward_cached(model, gaussian(new_rng(22), (6, 4, 4)), TRAIN)
         buffer = io.BytesIO()
         save_weights(model, buffer)
         buffer.seek(0)
-        loaded = load_weights(buffer, model.spec, dropout_rate=0.0)
+        loaded = load_weights(buffer, model.spec)
         for name, arr in model.state_params().items():
             assert np.array_equal(arr, loaded.state_params()[name]), name
 
@@ -279,7 +269,7 @@ class TestWeightFiles:
         first = io.BytesIO()
         save_weights(model, first)
         first.seek(0)
-        loaded = load_weights(first, model.spec, dropout_rate=0.0)
+        loaded = load_weights(first, model.spec)
         second = io.BytesIO()
         save_weights(loaded, second)
         assert first.getvalue() == second.getvalue()
@@ -373,5 +363,5 @@ class TestWeightFiles:
         buffer = io.BytesIO()
         save_weights(model, buffer)
         buffer.seek(0)
-        loaded = load_weights(buffer, model.spec, dropout_rate=0.0)
+        loaded = load_weights(buffer, model.spec)
         assert np.array_equal(predict_scores(model, features), predict_scores(loaded, features))

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlat import nn
-from wlat.model import build_model, forward, forward_cached, parse_arch
+from wlat.model import build_model, forward_cached, parse_arch
 from wlat.rng import gaussian, new_rng
+from wlat.train import TrainConfig
 
 
 def naive_matmul(x, w, b):
@@ -200,17 +201,17 @@ def test_batchnorm_backward_finite_differences(seed):
     assert nn.grad_check(loss, params, analytic) < 1e-5
 
 
-def dropout_model(rate, hidden=4):
+def dropout_model(hidden=4):
     spec = parse_arch("1-A", hidden_units=hidden, n_classes=2)
-    return build_model(spec, input_dim=4, init_seed=0, dropout_rate=rate)
+    return build_model(spec, input_dim=4, init_seed=0)
 
 
-def first_layer_dropout(model, features, rng):
+def first_layer_dropout(model, features, rng, rate):
     """(relu output, mask, block output) of the model's first hidden layer, in train mode."""
-    _, cache = forward_cached(model, features, nn.TRAIN, rng=rng, update_running=False)
-    _, dense_out, _, _, _, mask = cache.layer_io[0][0]
+    fwd = forward_cached(model, features, nn.TRAIN, rng, rate, update_running=False)
+    _, dense_out, _, _, _, mask = fwd.layer_io[0][0]
     bn_out, _, _ = nn.batchnorm_forward(dense_out, model.blocks[0][0].bn, nn.TRAIN, False)
-    block_out = cache.level_io[0][0].reshape(bn_out.shape)
+    block_out = fwd.level_io[0][0].reshape(bn_out.shape)
     return nn.relu(bn_out), mask, block_out
 
 
@@ -219,7 +220,7 @@ def test_dropout_rate_zero_is_identity():
     x = gaussian(rng, (4, 3, 4))
     masks = new_rng(0)
     untouched = masks.bit_generator.state
-    relu_out, mask, out = first_layer_dropout(dropout_model(0.0), x, masks)
+    relu_out, mask, out = first_layer_dropout(dropout_model(), x, masks, 0.0)
     assert mask is None
     assert np.array_equal(out, relu_out)
     assert masks.bit_generator.state == untouched
@@ -227,20 +228,24 @@ def test_dropout_rate_zero_is_identity():
 
 def test_dropout_infer_is_identity():
     # Infer mode applies no dropout, so a layer's output is its ReLU output,
-    # unscaled: a rate-0.4 model scores exactly like its rate-0 twin (same
-    # init seed, so identical weights).
+    # unscaled: a rate-0.4 forward scores exactly like a rate-0 one and
+    # draws nothing.
     rng = new_rng(7)
     x = gaussian(rng, (4, 3, 4))
-    dropped = forward(dropout_model(0.4), x, nn.INFER)
-    plain = forward(dropout_model(0.0), x, nn.INFER)
+    model = dropout_model()
+    masks = new_rng(0)
+    untouched = masks.bit_generator.state
+    dropped = forward_cached(model, x, nn.INFER, masks, 0.4)
+    plain = forward_cached(model, x, nn.INFER)
+    assert masks.bit_generator.state == untouched
     assert np.array_equal(dropped.z, plain.z)
     assert np.array_equal(dropped.level_att[0], plain.level_att[0])
 
 
 def test_dropout_preserves_expectation():
     x = gaussian(new_rng(5), (10, 10, 4))
-    model = dropout_model(0.4, hidden=1000)
-    relu_out, mask, out = first_layer_dropout(model, x, new_rng(8))
+    model = dropout_model(hidden=1000)
+    relu_out, mask, out = first_layer_dropout(model, x, new_rng(8), 0.4)
     assert mask.shape == (100, 1000)
     assert 0.97 <= mask.mean() <= 1.03
     assert np.allclose(mask[mask != 0], 1.0 / 0.6)
@@ -255,7 +260,7 @@ def test_dropout_mask_deterministic_per_seed():
 
 def test_dropout_rejects_rate_one():
     with pytest.raises(ValueError, match="dropout"):
-        dropout_model(1.0)
+        TrainConfig(arch="1-A", epochs=1, dropout=1.0)
 
 
 def test_finite_in_finite_out():

@@ -1,5 +1,6 @@
 """Loss, optimizer, and training-loop behavior."""
 
+import io
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from wlat.data import SynthConfig, generate_synthetic
 from wlat.metrics import evaluate
-from wlat.model import build_model, parse_arch, predict_scores
+from wlat.model import build_model, load_weights, parse_arch, predict_scores, save_weights
 from wlat.rng import gaussian, new_rng
 from wlat.train import AdamState, TrainConfig, adam_step, bce_loss, fit
 from wlat.data import stack_features, stack_targets
@@ -100,13 +101,13 @@ class TestAdam:
 
     def test_key_mismatch_rejected(self):
         params = {"w": np.zeros(2)}
-        state = AdamState.init(params)
+        state = AdamState.init(params, lr=0.001)
         with pytest.raises(ValueError):
             adam_step(params, {"v": np.zeros(2)}, state)
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(2)}
-        state = AdamState.init(params)
+        state = AdamState.init(params, lr=0.001)
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(3)}, state)
 
@@ -116,6 +117,7 @@ class TestTrainConfig:
         cfg = TrainConfig(arch="3-A", epochs=10)
         assert cfg.batch_size == 500
         assert cfg.lr == 0.001
+        assert cfg.dropout == 0.4
 
     def test_zero_learning_rate_allowed(self):
         TrainConfig(arch="3-A", epochs=1, lr=0.0)
@@ -141,6 +143,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"lr must be finite and >= 0, got {lr}"):
             TrainConfig(arch="3-A", epochs=3, lr=lr)
 
+    @pytest.mark.parametrize("rate", [-0.5, 1.0, 1.5, float("nan")])
+    def test_dropout_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"dropout rate must be in \[0, 1\)"):
+            TrainConfig(arch="3-A", epochs=3, dropout=rate)
+
 
 def small_split(seed=3):
     cfg = SynthConfig(
@@ -151,9 +158,9 @@ def small_split(seed=3):
     return cfg, samples[:20], samples[20:]
 
 
-def small_model(arch="1-A", hidden=8, dropout=0.4, init_seed=0):
+def small_model(arch="1-A", hidden=8, init_seed=0):
     spec = parse_arch(arch, hidden_units=hidden, n_classes=4)
-    return build_model(spec, input_dim=8, init_seed=init_seed, dropout_rate=dropout)
+    return build_model(spec, input_dim=8, init_seed=init_seed)
 
 
 def lone_clip_split(n_frames):
@@ -177,6 +184,24 @@ class TestFit:
         assert results[0].log_lines == results[1].log_lines
         for name, arr in models[0].state_params().items():
             assert np.array_equal(arr, models[1].state_params()[name]), name
+
+    def test_checkpoint_is_the_whole_model(self):
+        # A model and its save/load round trip train identically under one
+        # config, at a dropout rate other than the default: the weight file
+        # leaves out nothing that shapes training.
+        _, train, valid = small_split()
+        cfg = TrainConfig(arch="1-A", epochs=3, batch_size=8, lr=0.01, dropout=0.2, seed=9)
+        original = small_model()
+        saved = io.BytesIO()
+        save_weights(original, saved)
+        saved.seek(0)
+        runs = []
+        for model in (original, load_weights(saved)):
+            log_lines = fit(model, train, valid, cfg).log_lines
+            weights = io.BytesIO()
+            save_weights(model, weights)
+            runs.append((log_lines, weights.getvalue()))
+        assert runs[0] == runs[1]
 
     def test_log_line_shape_and_cadence(self):
         _, train, valid = small_split()
@@ -317,9 +342,9 @@ def overfit_run():
     cfg = SynthConfig(n_samples=10)
     samples, _ = generate_synthetic(cfg)
     spec = parse_arch("3-A", hidden_units=32, n_classes=cfg.n_classes)
-    model = build_model(spec, cfg.n_features, init_seed=0, dropout_rate=0.0)
+    model = build_model(spec, cfg.n_features, init_seed=0)
     train_cfg = TrainConfig(
-        arch="3-A", epochs=500, batch_size=10, lr=0.1, seed=0, eval_every=100
+        arch="3-A", epochs=500, batch_size=10, lr=0.1, dropout=0.0, seed=0, eval_every=100
     )
     return model, samples, fit(model, samples, samples, train_cfg)
 
@@ -337,7 +362,7 @@ class TestOverfit:
     def test_early_stopping_fires_once_map_saturates(self, overfit_run):
         model, samples, _ = overfit_run
         cfg = TrainConfig(
-            arch="3-A", epochs=10, batch_size=10, lr=0.0, seed=1,
+            arch="3-A", epochs=10, batch_size=10, lr=0.0, dropout=0.0, seed=1,
             eval_every=1, early_stop_patience=1,
         )
         result = fit(model, samples, samples, cfg)
