@@ -1,8 +1,9 @@
 """Command-line front end: gen-data, train, evaluate, predict, gradcheck.
 
 Every command is reproducible from its flags and seeds.  A JSON config file
-(``--config``) may supply any flag by its destination name; flags given on
-the command line win.  Exit codes: 0 success, 1 runtime or validation
+(``--config``) may supply any flag by its destination name; each entry
+parses exactly as that flag typed right after the command, so flags given
+on the command line win.  Exit codes: 0 success, 1 runtime or validation
 failure, 2 usage error.
 """
 
@@ -13,8 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
-from typing import Sequence
+from dataclasses import MISSING, fields, replace
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -49,6 +50,10 @@ class UsageError(Exception):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``wlat`` grammar.  A command's namespace carries ``run``, the
+    function that executes it, and ``flags``, which maps each destination
+    name (a config key) to the flag declared for it.
+    """
     parser = argparse.ArgumentParser(
         prog="wlat",
         description="Attention-pooling models for weakly labelled multi-label tagging.",
@@ -58,84 +63,90 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(
+        name: str, help_text: str, command: Callable[[argparse.Namespace], int]
+    ) -> Callable[..., None]:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--config", help="JSON file supplying flag values (flags override)")
-        return sub
+        flags: dict[str, str] = {}
+        sub.set_defaults(flags=flags, run=command)
 
-    gen = add("gen-data", "generate a synthetic weakly labelled dataset")
-    gen.add_argument("--out", help="dataset file to write")
-    gen.add_argument("--truth-out", help="event-frame sidecar for --out")
-    gen.add_argument("--valid-out", help="carve a validation split into this file")
-    gen.add_argument("--valid-samples", type=int, help="size of the validation split")
-    gen.add_argument("--valid-truth-out", help="event-frame sidecar for --valid-out")
-    for field in fields(SynthConfig):
-        flag = "--" + field.name.replace("_", "-")
-        kind = float if field.type == "float" else int
-        gen.add_argument(flag, dest=field.name, type=kind)
+        def flag(option: str, **kwargs) -> None:
+            flags[sub.add_argument(option, **kwargs).dest] = option
 
-    tr = add("train", "train a model and keep the best validation checkpoint")
-    tr.add_argument("--arch", help="architecture string, e.g. 2-A-1-A")
-    tr.add_argument("--train", dest="train_path", help="training dataset file")
-    tr.add_argument("--valid", dest="valid_path", help="validation dataset file")
-    tr.add_argument("--out", help="output directory for checkpoint and log")
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--batch-size", type=int)
-    tr.add_argument("--lr", type=float)
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--eval-every", type=int)
-    tr.add_argument("--patience", type=int, help="evaluations without improvement before stopping")
-    tr.add_argument("--hidden-units", type=int)
-    tr.add_argument("--dropout", type=float)
-    tr.add_argument("--init-seed", type=int)
+        return flag
 
-    ev = add("evaluate", "score a trained model on a dataset")
-    ev.add_argument("--model", help="weight file")
-    ev.add_argument("--arch", help="optional check of the checkpoint's architecture string")
-    ev.add_argument("--data", help="dataset file")
-    ev.add_argument("--hidden-units", type=int, help="optional check of the checkpoint's width")
-    ev.add_argument("--out", help="also write machine-readable records here")
+    def field_flags(flag: Callable[..., None], config: type, **help_text: str) -> None:
+        """One flag per field of a config dataclass, with the field's type and default."""
+        types = get_type_hints(config)
+        for field in fields(config):
+            default = None if field.default is MISSING else field.default
+            flag("--" + field.name.replace("_", "-"), type=types[field.name], default=default,
+                 help=help_text.get(field.name))
 
-    pr = add("predict", "emit per-sample class scores above a threshold")
-    pr.add_argument("--model", help="weight file")
-    pr.add_argument("--arch", help="optional check of the checkpoint's architecture string")
-    pr.add_argument("--data", help="dataset file")
-    pr.add_argument("--hidden-units", type=int, help="optional check of the checkpoint's width")
-    pr.add_argument("--threshold", type=float)
-    pr.add_argument("--out", help="write records here instead of stdout")
+    gen = add("gen-data", "generate a synthetic weakly labelled dataset", _cmd_gen_data)
+    gen("--out", help="dataset file to write")
+    gen("--truth-out", help="event-frame sidecar for --out")
+    gen("--valid-out", help="carve a validation split into this file")
+    gen("--valid-samples", type=int, help="size of the validation split")
+    gen("--valid-truth-out", help="event-frame sidecar for --valid-out")
+    field_flags(gen, SynthConfig)
 
-    gc = add("gradcheck", "finite-difference check of the full backward pass")
-    gc.add_argument("--arch", help="architecture string to check")
-    gc.add_argument("--toy-dims", help="frames,features,hidden,classes (default 2,4,5,3)")
-    gc.add_argument("--seed", type=int)
+    tr = add("train", "train a model and keep the best validation checkpoint", _cmd_train)
+    tr("--train", dest="train_path", help="training dataset file")
+    tr("--valid", dest="valid_path", help="validation dataset file")
+    tr("--out", help="output directory for checkpoint and log")
+    field_flags(tr, TrainConfig, arch="architecture string, e.g. 2-A-1-A",
+                patience="evaluations without improvement before stopping")
+    tr("--hidden-units", type=int, default=600)
+    tr("--init-seed", type=int, default=0)
+
+    ev = add("evaluate", "score a trained model on a dataset", _cmd_evaluate)
+    pr = add("predict", "emit per-sample class scores above a threshold", _cmd_predict)
+    for flag in (ev, pr):
+        flag("--model", help="weight file")
+        flag("--arch", help="optional check of the checkpoint's architecture string")
+        flag("--data", help="dataset file")
+        flag("--hidden-units", type=int, help="optional check of the checkpoint's width")
+    ev("--out", help="also write machine-readable records here")
+    pr("--threshold", type=float, default=0.5)
+    pr("--out", help="write records here instead of stdout")
+
+    gc = add("gradcheck", "finite-difference check of the full backward pass", _cmd_gradcheck)
+    gc("--arch", help="architecture string to check")
+    gc("--toy-dims", default="2,4,5,3", help="frames,features,hidden,classes (default %(default)s)")
+    gc("--seed", type=int, default=0)
     return parser
 
 
-def _merge(args: argparse.Namespace, keys: dict[str, object]) -> dict[str, object]:
-    """Fill unset flags from the JSON config, then from defaults."""
-    config: dict[str, object] = {}
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-        if not isinstance(config, dict):
-            raise UsageError(f"config file {args.config} must hold a JSON object")
-        unknown = set(config) - set(keys)
-        if unknown:
-            raise UsageError(f"config file {args.config}: unknown keys {sorted(unknown)}")
-    merged = {}
-    for name, default in keys.items():
-        value = getattr(args, name)
-        if value is None:
-            value = config.get(name, default)
-        merged[name] = value
-    return merged
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv; a ``--config`` file's entries parse as flags typed right after the command."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    with open(args.config, "r", encoding="utf-8") as handle:
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {args.config} must hold a JSON object")
+    unknown = set(config) - set(args.flags)
+    if unknown:
+        raise UsageError(f"config file {args.config}: unknown keys {sorted(unknown)}")
+    # non-strings keep their JSON spelling, so null, true or 2.5 meet the flag's type check
+    entries = [f"{args.flags[key]}={value if isinstance(value, str) else json.dumps(value)}"
+               for key, value in config.items()]
+    at = list(argv).index(args.command) + 1
+    return parser.parse_args([*argv[:at], *entries, *argv[at:]])
 
 
-def _require(merged: dict[str, object], *names: str) -> None:
-    missing = [name for name in names if merged[name] is None]
+def _require(args: argparse.Namespace, *names: str) -> None:
+    missing = [args.flags[name] for name in names if getattr(args, name) is None]
     if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise UsageError(f"missing required flags: {flags}")
+        raise UsageError(f"missing required flags: {', '.join(missing)}")
+
+
+def _config(config: type, args: argparse.Namespace):
+    """Build a config dataclass from the flags declared for its fields."""
+    return config(**{field.name: getattr(args, field.name) for field in fields(config)})
 
 
 def _open_out(path: str, mode: str):
@@ -146,26 +157,22 @@ def _open_out(path: str, mode: str):
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    keys: dict[str, object] = {f.name: f.default for f in fields(SynthConfig)}
-    keys.update(out=None, truth_out=None, valid_out=None, valid_samples=None, valid_truth_out=None)
-    merged = _merge(args, keys)
-    _require(merged, "out")
-    if (merged["valid_out"] is None) != (merged["valid_samples"] is None):
+    _require(args, "out")
+    if (args.valid_out is None) != (args.valid_samples is None):
         raise UsageError("--valid-out and --valid-samples must be given together")
-    if merged["valid_truth_out"] is not None and merged["valid_out"] is None:
+    if args.valid_truth_out is not None and args.valid_out is None:
         raise UsageError("--valid-truth-out needs --valid-out")
 
-    cfg = SynthConfig(**{f.name: merged[f.name] for f in fields(SynthConfig)})
-    cfg.validate()
-    n_valid = int(merged["valid_samples"] or 0)
+    cfg = _config(SynthConfig, args)
+    n_valid = args.valid_samples or 0
     if not 0 <= n_valid < cfg.n_samples:
         raise ValueError(f"valid split {n_valid} must be smaller than n_samples {cfg.n_samples}")
 
     # open every sink before the expensive generation step
-    sinks = {name: _open_out(str(merged[name]), "wb")
-             for name in ("out", "valid_out") if merged[name] is not None}
-    text_sinks = {name: _open_out(str(merged[name]), "w")
-                  for name in ("truth_out", "valid_truth_out") if merged[name] is not None}
+    sinks = {name: _open_out(getattr(args, name), "wb")
+             for name in ("out", "valid_out") if getattr(args, name) is not None}
+    text_sinks = {name: _open_out(getattr(args, name), "w")
+                  for name in ("truth_out", "valid_truth_out") if getattr(args, name) is not None}
     try:
         samples, truth = generate_synthetic(cfg)
         split = cfg.n_samples - n_valid
@@ -175,12 +182,12 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         for name, part in parts.items():
             header = replace(cfg.header(), n_samples=len(part))
             write_dataset(part, header, sinks[name])
-            print(f"wrote {len(part)} samples to {merged[name]}")
+            print(f"wrote {len(part)} samples to {getattr(args, name)}")
         for name, source in (("truth_out", "out"), ("valid_truth_out", "valid_out")):
             if name in text_sinks:
                 part_truth = {s.id: truth[s.id] for s in parts[source]}
                 write_truth(part_truth, text_sinks[name])
-                print(f"wrote truth sidecar to {merged[name]}")
+                print(f"wrote truth sidecar to {getattr(args, name)}")
     finally:
         for handle in (*sinks.values(), *text_sinks.values()):
             handle.close()
@@ -193,28 +200,12 @@ def _load_dataset(path: str):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    keys: dict[str, object] = dict(
-        arch=None, train_path=None, valid_path=None, out=None,
-        epochs=50, batch_size=500, lr=0.001, seed=0, eval_every=1, patience=0,
-        hidden_units=600, dropout=0.4, init_seed=0,
-    )
-    merged = _merge(args, keys)
-    _require(merged, "arch", "train_path", "valid_path", "out")
-    cfg = TrainConfig(
-        arch=str(merged["arch"]),
-        epochs=int(merged["epochs"]),
-        batch_size=int(merged["batch_size"]),
-        lr=float(merged["lr"]),
-        dropout=float(merged["dropout"]),
-        seed=int(merged["seed"]),
-        eval_every=int(merged["eval_every"]),
-        early_stop_patience=int(merged["patience"]),
-    )
-    out_dir = str(merged["out"])
-    os.makedirs(out_dir, exist_ok=True)
+    _require(args, "arch", "train_path", "valid_path", "out")
+    cfg = _config(TrainConfig, args)
+    os.makedirs(args.out, exist_ok=True)
 
-    train_header, train_samples = _load_dataset(str(merged["train_path"]))
-    valid_header, valid_samples = _load_dataset(str(merged["valid_path"]))
+    train_header, train_samples = _load_dataset(args.train_path)
+    valid_header, valid_samples = _load_dataset(args.valid_path)
     for dim in ("n_frames", "n_features", "n_classes"):
         if getattr(train_header, dim) != getattr(valid_header, dim):
             raise ValueError(
@@ -222,14 +213,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 f"{getattr(train_header, dim)} != {getattr(valid_header, dim)}"
             )
 
-    spec = parse_arch(str(merged["arch"]), int(merged["hidden_units"]), train_header.n_classes)
-    model = build_model(spec, train_header.n_features, int(merged["init_seed"]))
+    spec = parse_arch(cfg.arch, args.hidden_units, train_header.n_classes)
+    model = build_model(spec, train_header.n_features, args.init_seed)
     result = fit(model, train_samples, valid_samples, cfg)
 
-    weights_path = os.path.join(out_dir, "model.wlam")
+    weights_path = os.path.join(args.out, "model.wlam")
     with open(weights_path, "wb") as handle:
         save_weights(model, handle)
-    log_path = os.path.join(out_dir, "train_log.tsv")
+    log_path = os.path.join(args.out, "train_log.tsv")
     with open(log_path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(result.log_lines) + "\n")
 
@@ -240,18 +231,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _score_dataset(merged: dict[str, object]):
+def _score_dataset(args: argparse.Namespace):
     """Score a dataset with a checkpoint whose header must agree with any given flags."""
-    _require(merged, "model", "data")
-    header, samples = _load_dataset(str(merged["data"]))
-    with open(str(merged["model"]), "rb") as handle:
+    _require(args, "model", "data")
+    header, samples = _load_dataset(args.data)
+    with open(args.model, "rb") as handle:
         model = load_weights(handle)
     spec = model.spec
     claimed = spec
-    if merged["arch"] is not None:
-        claimed = parse_arch(str(merged["arch"]), spec.hidden_units, spec.n_classes)
-    if merged["hidden_units"] is not None:
-        claimed = replace(claimed, hidden_units=int(merged["hidden_units"]))
+    if args.arch is not None:
+        claimed = parse_arch(args.arch, spec.hidden_units, spec.n_classes)
+    if args.hidden_units is not None:
+        claimed = replace(claimed, hidden_units=args.hidden_units)
     if claimed != spec:
         raise WeightFormatError(f"weight file holds {spec}, expected {claimed}")
     if (spec.n_classes, model.input_dim) != (header.n_classes, header.n_features):
@@ -263,34 +254,27 @@ def _score_dataset(merged: dict[str, object]):
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    keys: dict[str, object] = dict(model=None, arch=None, data=None, hidden_units=None, out=None)
-    merged = _merge(args, keys)
-    header, samples, scores = _score_dataset(merged)
+    header, samples, scores = _score_dataset(args)
     report = evaluate(scores, stack_targets(samples, header.n_classes))
     print(human_table(report))
     print(f"mAP {report.mean_ap:.6f}")
-    if merged["out"] is not None:
-        with _open_out(str(merged["out"]), "w") as handle:
+    if args.out is not None:
+        with _open_out(args.out, "w") as handle:
             handle.write("\n".join(machine_lines(report)) + "\n")
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    keys: dict[str, object] = dict(
-        model=None, arch=None, data=None, hidden_units=None, threshold=0.5, out=None
-    )
-    merged = _merge(args, keys)
-    threshold = float(merged["threshold"])
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
-    _, samples, scores = _score_dataset(merged)
+    if not math.isfinite(args.threshold):
+        raise ValueError(f"threshold must be finite, got {args.threshold}")
+    _, samples, scores = _score_dataset(args)
     lines = []
     for sample, row in zip(samples, scores):
-        hits = ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(row >= threshold))
+        hits = ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(row >= args.threshold))
         lines.append(f"{sample.id}\t{hits}")
     text = "\n".join(lines) + "\n"
-    if merged["out"] is not None:
-        with _open_out(str(merged["out"]), "w") as handle:
+    if args.out is not None:
+        with _open_out(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -298,19 +282,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    keys: dict[str, object] = dict(arch=None, toy_dims="2,4,5,3", seed=0)
-    merged = _merge(args, keys)
-    _require(merged, "arch")
+    _require(args, "arch")
     try:
-        n_frames, n_features, hidden, n_classes = (
-            int(part) for part in str(merged["toy_dims"]).split(",")
-        )
+        n_frames, n_features, hidden, n_classes = (int(part) for part in args.toy_dims.split(","))
     except ValueError as err:
         raise UsageError(f"--toy-dims must be four comma-separated integers: {err}") from None
 
-    spec = parse_arch(str(merged["arch"]), hidden, n_classes)
-    model = build_model(spec, n_features, int(merged["seed"]))
-    rng = new_rng(int(merged["seed"]) + 1)
+    spec = parse_arch(args.arch, hidden, n_classes)
+    model = build_model(spec, n_features, args.seed)
+    rng = new_rng(args.seed + 1)
     features = gaussian(rng, (3, n_frames, n_features))
     targets = (rng.random((3, n_classes)) < 0.5).astype(np.float64)
     error = model_grad_check(model, features, lambda z: bce_loss(z, targets))
@@ -318,30 +298,20 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if error < GRADCHECK_THRESHOLD else 1
 
 
-_COMMANDS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "predict": _cmd_predict,
-    "gradcheck": _cmd_gradcheck,
-}
-
-
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
+        if args.list_archs:
+            for arch in PRESET_ARCHS:
+                print(arch)
+            return 0
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        return args.run(args)
     except SystemExit as exit_request:
         return int(exit_request.code or 0)
-    if args.list_archs:
-        for arch in PRESET_ARCHS:
-            print(arch)
-        return 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

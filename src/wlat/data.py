@@ -52,7 +52,7 @@ class DatasetHeader:
     n_samples: int
     version: int = FORMAT_VERSION
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.version != FORMAT_VERSION:
             raise DatasetFormatError(f"unsupported dataset version {self.version}")
         if self.n_frames < 1 or self.n_features < 1 or self.n_classes < 1:
@@ -99,7 +99,6 @@ def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: Binary
 
     Byte-for-byte deterministic for identical input.
     """
-    header.validate()
     if header.n_samples != len(samples):
         raise DatasetFormatError(
             f"header says {header.n_samples} samples, got {len(samples)}"
@@ -134,7 +133,6 @@ def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[Sample]]:
     if magic != MAGIC:
         raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     header = DatasetHeader(n_frames, n_features, n_classes, n_samples, version)
-    header.validate()
 
     n_values = n_frames * n_features
     fixed = 4 + 4 * n_values + 2  # id length, features, label count
@@ -189,7 +187,7 @@ class SynthConfig:
     noise_sigma: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.n_classes, self.n_samples, self.n_frames, self.n_features) < 1:
             raise ValueError("counts and dimensions must be >= 1")
         if not 1 <= self.event_frames_min <= self.event_frames_max <= self.n_frames:
@@ -230,7 +228,6 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
     classes, per class ascending its event count and frames, then the noise
     matrix).
     """
-    cfg.validate()
     rng = new_rng(cfg.seed)
     prototypes = gaussian(rng, (cfg.n_classes, cfg.n_features))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)

@@ -211,7 +211,6 @@ def forward_cached(
     mode: str,
     rng: np.random.Generator | None = None,
     dropout: float = 0.0,
-    update_running: bool = True,
 ) -> ForwardPass:
     """Run clips of shape (n_clips, n_frames, input_dim) through the model.
 
@@ -245,7 +244,7 @@ def forward_cached(
             dense_in = x if retain else None
             x = nn.dense_forward(x, layer.dense)
             dense_out = x if retain else None
-            x, mean, var = nn.batchnorm_forward(x, layer.bn, mode, update_running)
+            x, mean, var = nn.batchnorm_forward(x, layer.bn, mode)
             nn.relu(x)
             mask = None
             if use_dropout:
@@ -346,17 +345,20 @@ def model_grad_check(
 ) -> float:
     """Finite-difference check of the full backward pass; see nn.grad_check.
 
-    Runs in train mode (batch statistics) without dropout and with
-    running-stat updates off, so every forward is deterministic.
+    Runs in train mode without dropout, so every forward is deterministic;
+    the running statistics those forwards update are restored afterwards.
     """
 
     def loss_fn() -> float:
-        return loss_on_z(forward_cached(model, features, TRAIN, update_running=False).z)[0]
+        return loss_on_z(forward_cached(model, features, TRAIN).z)[0]
 
-    fwd = forward_cached(model, features, TRAIN, update_running=False)
+    saved = model.copy_state()
+    fwd = forward_cached(model, features, TRAIN)
     _, grad_z = loss_on_z(fwd.z)
     analytic = backward(model, fwd, grad_z)
-    return nn.grad_check(loss_fn, model.trainable_params(), analytic, step)
+    error = nn.grad_check(loss_fn, model.trainable_params(), analytic, step)
+    model.load_state(saved)
+    return error
 
 
 def save_weights(model: MultiLevelModel, sink: BinaryIO) -> int:

@@ -132,7 +132,7 @@ class BatchNormState:
 
 
 def batchnorm_forward(
-    x: np.ndarray, state: BatchNormState, mode: str, update_running: bool = True
+    x: np.ndarray, state: BatchNormState, mode: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-normalize by batch statistics (train) or running statistics (infer).
 
@@ -149,9 +149,8 @@ def batchnorm_forward(
         # x.var(axis=0): the mean of the squared deviations held in ``out``
         var = np.square(out).sum(axis=0)
         var /= x.shape[0]
-        if update_running:
-            state.running_mean = BN_MOMENTUM * state.running_mean + (1.0 - BN_MOMENTUM) * mean
-            state.running_var = BN_MOMENTUM * state.running_var + (1.0 - BN_MOMENTUM) * var
+        state.running_mean = BN_MOMENTUM * state.running_mean + (1.0 - BN_MOMENTUM) * mean
+        state.running_var = BN_MOMENTUM * state.running_var + (1.0 - BN_MOMENTUM) * var
     else:
         mean = state.running_mean
         var = state.running_var

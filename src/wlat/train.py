@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Sample, stack_features, stack_targets
-from .metrics import EvalReport, evaluate, exclusion_reasons
+from .metrics import evaluate, exclusion_reasons
 from .model import MultiLevelModel, backward, forward_cached, parse_arch, predict_scores
 from .nn import TRAIN
 from .rng import new_rng, spawn_seeds
@@ -101,13 +101,13 @@ def adam_step(
 @dataclass(frozen=True)
 class TrainConfig:
     arch: str
-    epochs: int
+    epochs: int = 50
     batch_size: int = 500
     lr: float = 0.001
     dropout: float = 0.4
     seed: int = 0
     eval_every: int = 1
-    early_stop_patience: int = 0  # 0 disables early stopping
+    patience: int = 0  # 0 disables early stopping
 
     def __post_init__(self) -> None:
         if self.batch_size < 2:
@@ -120,8 +120,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.early_stop_patience < 0:
-            raise ValueError(f"early_stop_patience must be >= 0, got {self.early_stop_patience}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass
@@ -129,7 +129,6 @@ class FitResult:
     log_lines: list[str]
     best_epoch: int
     best_map: float
-    best_report: EvalReport
     total_steps: int
     stopped_early: bool
 
@@ -145,7 +144,7 @@ def fit(
     One log line per epoch with fields epoch, step, train_loss, valid_mAP,
     valid_AUC, valid_dprime (literal ``nan`` on non-evaluation epochs).
     Evaluation runs every ``eval_every`` epochs and on the final epoch;
-    ``early_stop_patience`` consecutive evaluations without improvement end
+    ``patience`` consecutive evaluations without improvement end
     the run early.
     """
     spec = model.spec
@@ -180,7 +179,6 @@ def fit(
     best_state: dict[str, np.ndarray] | None = None
     best_map = -np.inf
     best_epoch = 0
-    best_report: EvalReport | None = None
     evals_without_improvement = 0
     stopped_early = False
 
@@ -212,18 +210,17 @@ def fit(
             if report.mean_ap > best_map:
                 best_map = report.mean_ap
                 best_epoch = epoch
-                best_report = report
                 best_state = model.copy_state()
                 evals_without_improvement = 0
             else:
                 evals_without_improvement += 1
-                if cfg.early_stop_patience and evals_without_improvement >= cfg.early_stop_patience:
+                if cfg.patience and evals_without_improvement >= cfg.patience:
                     stopped_early = True
         else:
             log_lines.append(f"{epoch}\t{adam.t}\t{epoch_loss:.8f}\tnan\tnan\tnan")
         if stopped_early:
             break
 
-    assert best_state is not None and best_report is not None
+    assert best_state is not None
     model.load_state(best_state)
-    return FitResult(log_lines, best_epoch, best_map, best_report, adam.t, stopped_early)
+    return FitResult(log_lines, best_epoch, best_map, adam.t, stopped_early)

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, exit codes, files, and printed output."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -119,6 +120,59 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config.write_text(json.dumps({"not_a_field": 1}))
     assert run_cli("gen-data", "--config", config, "--out", tmp_path / "d.wlad") == 2
     assert "not_a_field" in capsys.readouterr().err
+
+
+def test_config_file_must_hold_an_object(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text(json.dumps([1, 2]))
+    assert run_cli("gen-data", "--config", config, "--out", tmp_path / "d.wlad") == 2
+    assert f"usage error: config file {config} must hold a JSON object" in capsys.readouterr().err
+
+
+def test_config_values_parse_like_typed_flags(tmp_path):
+    config = tmp_path / "recipe.json"
+    config.write_text(json.dumps({"n_samples": "5"}))
+    from_config = tmp_path / "config.wlad"
+    assert run_cli("gen-data", "--config", config, "--out", from_config) == 0
+    from_flags = tmp_path / "flags.wlad"
+    assert run_cli("gen-data", "--n-samples", 5, "--out", from_flags) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("command,key,value,flag", [
+    ("gen-data", "n_samples", 2.5, "--n-samples"),
+    ("train", "epochs", True, "--epochs"),
+    ("gen-data", "seed", None, "--seed"),
+])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, key, value, flag):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({key: value}))
+    assert run_cli(command, "--config", config, "--out", tmp_path / "out") == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,field", [
+    pytest.param(command, field, id=f"{command}-{field.name}")
+    for command, config in (("gen-data", SynthConfig), ("train", TrainConfig))
+    for field in dataclasses.fields(config)
+])
+def test_every_config_field_is_one_flag(tmp_path, command, field):
+    parser = cli._build_parser()
+    default = None if field.default is dataclasses.MISSING else field.default
+    assert getattr(cli._parse(parser, [command]), field.name) == default
+    if field.type == "str":
+        from_config, typed = "2-A-1-A", "3-A"
+    else:
+        from_config, typed = default + 1, default + 2
+    config = tmp_path / "recipe.json"
+    config.write_text(json.dumps({field.name: from_config}))
+    args = cli._parse(parser, [command, "--config", str(config)])
+    assert getattr(args, field.name) == from_config
+    assert type(getattr(args, field.name)) is type(from_config)
+    flag = "--" + field.name.replace("_", "-")
+    args = cli._parse(parser, [command, "--config", str(config), flag, str(typed)])
+    assert getattr(args, field.name) == typed
 
 
 @pytest.fixture(scope="module")

@@ -333,10 +333,10 @@ def test_batch_iter_rejects_empty_and_bad_size():
 
 def test_class_count_limited_to_u16_labels():
     with pytest.raises(DatasetFormatError, match="n_classes 70000"):
-        DatasetHeader(2, 3, 70000, 0).validate()
+        DatasetHeader(2, 3, 70000, 0)
     with pytest.raises(DatasetFormatError, match="n_classes"):
-        DatasetHeader(2, 3, 0x10001, 0).validate()
-    DatasetHeader(2, 3, 0x10000, 0).validate()
+        DatasetHeader(2, 3, 0x10001, 0)
+    DatasetHeader(2, 3, 0x10000, 0)
 
 
 def test_multi_hot_and_stacks():
@@ -353,25 +353,25 @@ def test_multi_hot_and_stacks():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SynthConfig(n_classes=0).validate()
+        SynthConfig(n_classes=0)
     with pytest.raises(ValueError):
-        SynthConfig(event_frames_min=5, event_frames_max=3).validate()
+        SynthConfig(event_frames_min=5, event_frames_max=3)
     with pytest.raises(ValueError):
-        SynthConfig(event_frames_max=99).validate()
+        SynthConfig(event_frames_max=99)
     with pytest.raises(ValueError):
-        SynthConfig(labels_per_sample_min=0).validate()
+        SynthConfig(labels_per_sample_min=0)
     with pytest.raises(ValueError):
-        SynthConfig(signal_scale=0.0).validate()
+        SynthConfig(signal_scale=0.0)
     with pytest.raises(ValueError):
-        SynthConfig(noise_sigma=-1.0).validate()
-    SynthConfig(noise_sigma=0.0).validate()
+        SynthConfig(noise_sigma=-1.0)
+    SynthConfig(noise_sigma=0.0)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["signal_scale", "noise_sigma"])
 def test_synth_config_rejects_non_finite_scales(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite.*got {value}"):
-        SynthConfig(**{name: value}).validate()
+        SynthConfig(**{name: value})
 
 
 def _logistic_probe_auc(train_x, train_y, test_x, test_y):

@@ -151,14 +151,14 @@ class TestForward:
     def test_single_level_concat_is_identity(self):
         model = toy_model("3-A")
         features = gaussian(new_rng(1), (4, 6, 4))
-        fwd = forward_cached(model, features, TRAIN, update_running=False)
+        fwd = forward_cached(model, features, TRAIN)
         _, weights, frame_probs, _ = fwd.level_io[0]
         assert np.array_equal(fwd.u, (weights * frame_probs).sum(axis=1))
 
     def test_output_shapes_and_range(self):
         model = toy_model("2-A-1-A")
         features = gaussian(new_rng(2), (5, 6, 4))
-        fwd = forward_cached(model, features, TRAIN, update_running=False)
+        fwd = forward_cached(model, features, TRAIN)
         assert fwd.z.shape == (5, 3)
         assert fwd.u.shape == (5, 6)
         assert len(fwd.level_att) == 2
@@ -230,7 +230,7 @@ class TestBackward:
     def test_zero_grad_gives_zero_everywhere(self):
         model = toy_model()
         features = gaussian(new_rng(9), (4, 6, 4))
-        fwd = forward_cached(model, features, TRAIN, update_running=False)
+        fwd = forward_cached(model, features, TRAIN)
         grads = backward(model, fwd, np.zeros((4, 3)))
         assert set(grads) == set(model.trainable_params())
         assert all(not g.any() for g in grads.values())
@@ -238,7 +238,7 @@ class TestBackward:
     def test_output_bias_gradient_is_column_sum(self):
         model = toy_model()
         features = gaussian(new_rng(10), (4, 6, 4))
-        fwd = forward_cached(model, features, TRAIN, update_running=False)
+        fwd = forward_cached(model, features, TRAIN)
         grad_z = gaussian(new_rng(11), (4, 3))
         grads = backward(model, fwd, grad_z)
         expected = (grad_z * fwd.z * (1.0 - fwd.z)).sum(axis=0)
@@ -249,8 +249,11 @@ class TestBackward:
         model = toy_model(arch)
         features = gaussian(new_rng(12), (3, 2, 4))
         targets = (gaussian(new_rng(13), (3, 3)) > 0.0).astype(float)
+        before = model.copy_state()
         error = model_grad_check(model, features, lambda z: bce_loss(z, targets))
         assert error < 1e-4, f"{arch}: {error:.3e}"
+        state = model.state_params()
+        assert all(np.array_equal(state[name], arr) for name, arr in before.items())
 
 
 class TestWeightFiles:

@@ -171,8 +171,6 @@ def test_batchnorm_updates_running_statistics():
     nn.batchnorm_forward(x, state, nn.TRAIN)
     expected_mean = 0.99 * 0.0 + 0.01 * x.mean(axis=0)
     assert np.allclose(state.running_mean, expected_mean, atol=1e-12)
-    nn.batchnorm_forward(x, state, nn.TRAIN, update_running=False)
-    assert np.allclose(state.running_mean, expected_mean, atol=1e-12)
 
 
 def test_batchnorm_rejects_single_row_in_train_mode():
@@ -191,10 +189,10 @@ def test_batchnorm_backward_finite_differences(seed):
     direction = gaussian(rng, (8, 3))
 
     def loss():
-        out, _, _ = nn.batchnorm_forward(x, state, nn.TRAIN, update_running=False)
+        out, _, _ = nn.batchnorm_forward(x, state, nn.TRAIN)
         return float((out * direction).sum())
 
-    _, mean, var = nn.batchnorm_forward(x, state, nn.TRAIN, update_running=False)
+    _, mean, var = nn.batchnorm_forward(x, state, nn.TRAIN)
     grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(x, mean, var, state, direction.copy())
     params = {"x": x, "gamma": state.gamma, "beta": state.beta}
     analytic = {"x": grad_x, "gamma": grad_gamma, "beta": grad_beta}
@@ -208,9 +206,9 @@ def dropout_model(hidden=4):
 
 def first_layer_dropout(model, features, rng, rate):
     """(relu output, mask, block output) of the model's first hidden layer, in train mode."""
-    fwd = forward_cached(model, features, nn.TRAIN, rng, rate, update_running=False)
+    fwd = forward_cached(model, features, nn.TRAIN, rng, rate)
     _, dense_out, _, _, _, mask = fwd.layer_io[0][0]
-    bn_out, _, _ = nn.batchnorm_forward(dense_out, model.blocks[0][0].bn, nn.TRAIN, False)
+    bn_out, _, _ = nn.batchnorm_forward(dense_out, model.blocks[0][0].bn, nn.TRAIN)
     block_out = fwd.level_io[0][0].reshape(bn_out.shape)
     return nn.relu(bn_out), mask, block_out
 

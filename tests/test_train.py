@@ -129,7 +129,7 @@ class TestTrainConfig:
             dict(lr=-0.1),
             dict(epochs=0),
             dict(eval_every=0),
-            dict(early_stop_patience=-1),
+            dict(patience=-1),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -363,7 +363,7 @@ class TestOverfit:
         model, samples, _ = overfit_run
         cfg = TrainConfig(
             arch="3-A", epochs=10, batch_size=10, lr=0.0, dropout=0.0, seed=1,
-            eval_every=1, early_stop_patience=1,
+            eval_every=1, patience=1,
         )
         result = fit(model, samples, samples, cfg)
         assert result.best_map == 1.0
