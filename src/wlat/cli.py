@@ -149,11 +149,11 @@ def _config(config: type, args: argparse.Namespace):
     return config(**{field.name: getattr(args, field.name) for field in fields(config)})
 
 
-def _open_out(path: str, mode: str):
+def _check_out(path: str) -> None:
+    """Fail before any work when an output file's directory does not exist."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise UsageError(f"output directory does not exist: {parent}")
-    return open(path, mode)
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
@@ -167,30 +167,24 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     n_valid = args.valid_samples or 0
     if not 0 <= n_valid < cfg.n_samples:
         raise ValueError(f"valid split {n_valid} must be smaller than n_samples {cfg.n_samples}")
+    outputs = ("out", "valid_out", "truth_out", "valid_truth_out")
+    paths = {name: getattr(args, name) for name in outputs if getattr(args, name) is not None}
+    for path in paths.values():
+        _check_out(path)
 
-    # open every sink before the expensive generation step
-    sinks = {name: _open_out(getattr(args, name), "wb")
-             for name in ("out", "valid_out") if getattr(args, name) is not None}
-    text_sinks = {name: _open_out(getattr(args, name), "w")
-                  for name in ("truth_out", "valid_truth_out") if getattr(args, name) is not None}
-    try:
-        samples, truth = generate_synthetic(cfg)
-        split = cfg.n_samples - n_valid
-        parts = {"out": samples[:split]}
-        if n_valid:
-            parts["valid_out"] = samples[split:]
-        for name, part in parts.items():
-            header = replace(cfg.header(), n_samples=len(part))
-            write_dataset(part, header, sinks[name])
-            print(f"wrote {len(part)} samples to {getattr(args, name)}")
-        for name, source in (("truth_out", "out"), ("valid_truth_out", "valid_out")):
-            if name in text_sinks:
-                part_truth = {s.id: truth[s.id] for s in parts[source]}
-                write_truth(part_truth, text_sinks[name])
-                print(f"wrote truth sidecar to {getattr(args, name)}")
-    finally:
-        for handle in (*sinks.values(), *text_sinks.values()):
-            handle.close()
+    samples, truth = generate_synthetic(cfg)
+    split = cfg.n_samples - n_valid
+    parts = {"out": samples[:split], "valid_out": samples[split:]}
+    for name, part in parts.items():
+        if name in paths:
+            with open(paths[name], "wb") as handle:
+                write_dataset(part, replace(cfg.header(), n_samples=len(part)), handle)
+            print(f"wrote {len(part)} samples to {paths[name]}")
+    for name, source in (("truth_out", "out"), ("valid_truth_out", "valid_out")):
+        if name in paths:
+            with open(paths[name], "w") as handle:
+                write_truth({s.id: truth[s.id] for s in parts[source]}, handle)
+            print(f"wrote truth sidecar to {paths[name]}")
     return 0
 
 
@@ -234,6 +228,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _score_dataset(args: argparse.Namespace):
     """Score a dataset with a checkpoint whose header must agree with any given flags."""
     _require(args, "model", "data")
+    if args.out is not None:
+        _check_out(args.out)
     header, samples = _load_dataset(args.data)
     with open(args.model, "rb") as handle:
         model = load_weights(handle)
@@ -259,7 +255,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     print(human_table(report))
     print(f"mAP {report.mean_ap:.6f}")
     if args.out is not None:
-        with _open_out(args.out, "w") as handle:
+        with open(args.out, "w") as handle:
             handle.write("\n".join(machine_lines(report)) + "\n")
     return 0
 
@@ -274,7 +270,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         lines.append(f"{sample.id}\t{hits}")
     text = "\n".join(lines) + "\n"
     if args.out is not None:
-        with _open_out(args.out, "w") as handle:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

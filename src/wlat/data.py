@@ -50,11 +50,8 @@ class DatasetHeader:
     n_features: int
     n_classes: int
     n_samples: int
-    version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.version != FORMAT_VERSION:
-            raise DatasetFormatError(f"unsupported dataset version {self.version}")
         if self.n_frames < 1 or self.n_features < 1 or self.n_classes < 1:
             raise DatasetFormatError(
                 f"header dimensions must be >= 1, got frames={self.n_frames} "
@@ -105,7 +102,7 @@ def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: Binary
         )
     written = sink.write(
         _HEADER_STRUCT.pack(
-            MAGIC, header.version, header.n_frames, header.n_features,
+            MAGIC, FORMAT_VERSION, header.n_frames, header.n_features,
             header.n_classes, header.n_samples,
         )
     )
@@ -132,7 +129,9 @@ def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[Sample]]:
     magic, version, n_frames, n_features, n_classes, n_samples = _HEADER_STRUCT.unpack_from(blob)
     if magic != MAGIC:
         raise DatasetFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    header = DatasetHeader(n_frames, n_features, n_classes, n_samples, version)
+    if version != FORMAT_VERSION:
+        raise DatasetFormatError(f"unsupported dataset version {version}")
+    header = DatasetHeader(n_frames, n_features, n_classes, n_samples)
 
     n_values = n_frames * n_features
     fixed = 4 + 4 * n_values + 2  # id length, features, label count
@@ -188,8 +187,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.n_classes, self.n_samples, self.n_frames, self.n_features) < 1:
-            raise ValueError("counts and dimensions must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        self.header()  # the dataset dimension limits, u16 class labels included
         if not 1 <= self.event_frames_min <= self.event_frames_max <= self.n_frames:
             raise ValueError(
                 f"need 1 <= event_frames_min <= event_frames_max <= n_frames, got "
@@ -277,18 +277,14 @@ def read_truth(source: TextIO) -> SynthTruth:
     return truth
 
 
-def multi_hot(labels: Sequence[int], n_classes: int) -> np.ndarray:
-    """0/1 target vector marking the classes present in a clip."""
-    out = np.zeros(n_classes, dtype=np.float64)
-    out[list(labels)] = 1.0
-    return out
-
-
 def stack_features(samples: Sequence[Sample]) -> np.ndarray:
     """Stack clip features into an (n_samples, n_frames, n_features) array."""
     return np.stack([s.features for s in samples])
 
 
 def stack_targets(samples: Sequence[Sample], n_classes: int) -> np.ndarray:
-    """Stack clip labels into an (n_samples, n_classes) multi-hot matrix."""
-    return np.stack([multi_hot(s.labels, n_classes) for s in samples])
+    """Stack clip labels into an (n_samples, n_classes) 0/1 matrix of present classes."""
+    out = np.zeros((len(samples), n_classes), dtype=np.float64)
+    for row, sample in zip(out, samples):
+        row[list(sample.labels)] = 1.0
+    return out

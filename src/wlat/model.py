@@ -341,7 +341,6 @@ def model_grad_check(
     model: MultiLevelModel,
     features: np.ndarray,
     loss_on_z: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    step: float = 1e-5,
 ) -> float:
     """Finite-difference check of the full backward pass; see nn.grad_check.
 
@@ -356,7 +355,7 @@ def model_grad_check(
     fwd = forward_cached(model, features, TRAIN)
     _, grad_z = loss_on_z(fwd.z)
     analytic = backward(model, fwd, grad_z)
-    error = nn.grad_check(loss_fn, model.trainable_params(), analytic, step)
+    error = nn.grad_check(loss_fn, model.trainable_params(), analytic)
     model.load_state(saved)
     return error
 

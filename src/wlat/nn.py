@@ -28,6 +28,11 @@ INFER = "infer"
 BN_MOMENTUM = 0.99
 BN_EPSILON = 1e-5
 
+# Finite-difference half-step of grad_check, and the denominator floor of
+# relative_error that keeps near-zero gradient pairs from dividing by ~0.
+GRAD_CHECK_STEP = 1e-5
+RELATIVE_ERROR_FLOOR = 1e-6
+
 
 def glorot_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
     """Uniform init on +-sqrt(6 / (fan_in + fan_out))."""
@@ -202,11 +207,11 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     return mask
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
-    """Max elementwise |a - n| / max(|a| + |n|, floor)."""
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max elementwise |a - n| / max(|a| + |n|, RELATIVE_ERROR_FLOOR)."""
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.abs(a) + np.abs(n), floor)
+    denom = np.maximum(np.abs(a) + np.abs(n), RELATIVE_ERROR_FLOOR)
     return float((np.abs(a - n) / denom).max())
 
 
@@ -214,9 +219,8 @@ def grad_check(
     loss_fn: Callable[[], float],
     params: Mapping[str, np.ndarray],
     analytic_grads: Mapping[str, np.ndarray],
-    step: float = 1e-5,
 ) -> float:
-    """Compare analytic gradients against central finite differences.
+    """Compare analytic gradients against central finite differences of GRAD_CHECK_STEP.
 
     ``loss_fn`` must be a deterministic pure function of the entries of
     ``params``, which are perturbed in place and restored.  Returns the max
@@ -229,11 +233,11 @@ def grad_check(
         numeric = np.empty_like(analytic)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + GRAD_CHECK_STEP
             loss_plus = loss_fn()
-            flat[i] = orig - step
+            flat[i] = orig - GRAD_CHECK_STEP
             loss_minus = loss_fn()
             flat[i] = orig
-            numeric[i] = (loss_plus - loss_minus) / (2.0 * step)
+            numeric[i] = (loss_plus - loss_minus) / (2.0 * GRAD_CHECK_STEP)
         worst = max(worst, relative_error(analytic, numeric))
     return worst

@@ -200,13 +200,11 @@ def fit(
             loss_sum += loss * batch.size
         epoch_loss = loss_sum / n_train
 
-        run_eval = epoch % cfg.eval_every == 0 or epoch == cfg.epochs
-        if run_eval:
+        # an epoch without an evaluation logs nan for the three means
+        mean_ap = mean_auc = mean_dprime = math.nan
+        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             report = evaluate(predict_scores(model, x_valid), y_valid)
-            log_lines.append(
-                f"{epoch}\t{adam.t}\t{epoch_loss:.8f}"
-                f"\t{report.mean_ap:.8f}\t{report.mean_auc:.8f}\t{report.mean_dprime:.8f}"
-            )
+            mean_ap, mean_auc, mean_dprime = report.mean_ap, report.mean_auc, report.mean_dprime
             if report.mean_ap > best_map:
                 best_map = report.mean_ap
                 best_epoch = epoch
@@ -216,8 +214,8 @@ def fit(
                 evals_without_improvement += 1
                 if cfg.patience and evals_without_improvement >= cfg.patience:
                     stopped_early = True
-        else:
-            log_lines.append(f"{epoch}\t{adam.t}\t{epoch_loss:.8f}\tnan\tnan\tnan")
+        log_lines.append(f"{epoch}\t{adam.t}\t{epoch_loss:.8f}"
+                         f"\t{mean_ap:.8f}\t{mean_auc:.8f}\t{mean_dprime:.8f}")
         if stopped_early:
             break
 

@@ -102,6 +102,39 @@ def test_gen_data_valid_flags_must_pair(tmp_path):
                    "--valid-samples", 3) == 2
 
 
+@pytest.mark.parametrize("flags,code,message", [
+    (("--n-classes", 70000, "--n-samples", 20, "--n-frames", 3, "--n-features", 4),
+     1, "n_classes 70000 exceeds u16 labels"),
+    ((*GEN_FLAGS, "--truth-out", "missing/x.truth"), 2, "output directory does not exist"),
+], ids=["u16-class-limit", "missing-directory"])
+def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, capsys,
+                                                     flags, code, message):
+    def never(cfg):
+        raise AssertionError("generate_synthetic ran")
+
+    monkeypatch.setattr(cli, "generate_synthetic", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.wlad").write_bytes(b"keep me")
+    assert run_cli("gen-data", *flags, "--out", "x.wlad") == code
+    assert message in capsys.readouterr().err
+    assert (tmp_path / "x.wlad").read_bytes() == b"keep me"
+
+
+def test_gen_data_empty_valid_split_is_header_only(tmp_path, capsys):
+    valid = tmp_path / "valid.wlad"
+    valid_truth = tmp_path / "valid.truth"
+    assert run_cli("gen-data", *GEN_FLAGS, "--out", tmp_path / "train.wlad",
+                   "--valid-out", valid, "--valid-samples", 0,
+                   "--valid-truth-out", valid_truth) == 0
+    assert len(valid.read_bytes()) == 24
+    with open(valid, "rb") as handle:
+        header, samples = read_dataset(handle)
+    assert header.n_samples == 0 and samples == []
+    assert (header.n_frames, header.n_features, header.n_classes) == (4, 6, 5)
+    assert valid_truth.read_text() == ""
+    assert capsys.readouterr().err == ""
+
+
 def test_config_file_supplies_flags_and_flags_override(tmp_path):
     config = tmp_path / "recipe.json"
     config.write_text(json.dumps(
@@ -448,6 +481,23 @@ def test_dataset_shape_must_match_checkpoint(wide_checkpoint, tmp_path, capsys, 
     assert run_cli("evaluate", "--model", model_path, "--data", other) == 1
     err = capsys.readouterr().err
     assert "n_classes=5" in err and f"={value}" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_missing_out_directory_fails_before_scoring(overfit_artifacts, tmp_path, monkeypatch,
+                                                    capsys, command):
+    data_path, model_path, _ = overfit_artifacts
+
+    def never(model, features):
+        raise AssertionError("predict_scores ran")
+
+    monkeypatch.setattr(cli, "predict_scores", never)
+    code = run_cli(command, "--model", model_path, "--data", data_path,
+                   "--out", tmp_path / "missing" / "out.tsv")
+    assert code == 2
+    printed = capsys.readouterr()
+    assert "output directory does not exist" in printed.err
+    assert printed.out == ""
 
 
 def test_evaluate_missing_file_is_runtime_error(overfit_artifacts, capsys):

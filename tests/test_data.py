@@ -16,7 +16,6 @@ from wlat.data import (
     Sample,
     SynthConfig,
     generate_synthetic,
-    multi_hot,
     read_dataset,
     read_truth,
     stack_features,
@@ -337,18 +336,19 @@ def test_class_count_limited_to_u16_labels():
     with pytest.raises(DatasetFormatError, match="n_classes"):
         DatasetHeader(2, 3, 0x10001, 0)
     DatasetHeader(2, 3, 0x10000, 0)
+    with pytest.raises(DatasetFormatError, match="n_classes 70000 exceeds u16 labels"):
+        SynthConfig(n_classes=70000)
 
 
 def test_multi_hot_and_stacks():
     _, samples, _ = small_dataset(n_samples=4)
-    hot = multi_hot((1, 3), 5)
-    assert hot.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
     feats = stack_features(samples)
     targets = stack_targets(samples, 5)
     assert feats.shape == (4, 4, 6)
     assert targets.shape == (4, 5)
     for i, sample in enumerate(samples):
         assert set(np.flatnonzero(targets[i])) == set(sample.labels)
+        assert targets[i, list(sample.labels)].tolist() == [1.0] * len(sample.labels)
 
 
 def test_config_validation():
