@@ -150,10 +150,13 @@ def _config(config: type, args: argparse.Namespace):
 
 
 def _check_out(path: str) -> None:
-    """Fail before any work when an output file's directory does not exist."""
+    """Fail before any work when an output file's directory does not exist or
+    the output path itself is a directory."""
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise UsageError(f"output directory does not exist: {parent}")
+    if os.path.isdir(path):
+        raise UsageError(f"output path is a directory: {path}")
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
@@ -169,8 +172,12 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         raise ValueError(f"valid split {n_valid} must be smaller than n_samples {cfg.n_samples}")
     outputs = ("out", "valid_out", "truth_out", "valid_truth_out")
     paths = {name: getattr(args, name) for name in outputs if getattr(args, name) is not None}
-    for path in paths.values():
+    flag_by_file: dict[str, str] = {}
+    for name, path in paths.items():
         _check_out(path)
+        first = flag_by_file.setdefault(os.path.realpath(path), name)
+        if first != name:
+            raise UsageError(f"{args.flags[first]} and {args.flags[name]} name the same file: {path}")
 
     samples, truth = generate_synthetic(cfg)
     split = cfg.n_samples - n_valid

@@ -17,7 +17,9 @@ File format (all integers little-endian):
              row-major, label_count u16, label indices u16 each
 
 Features are stored at float32 precision; in memory everything is float64.
-The generator rounds its output to float32 so write -> read is exact.
+The generator rounds its output to float32 so write -> read is exact.  It
+draws clip by clip from one seeded stream but transforms the noise a block
+of clips at a time; the clips of a block share one float64 array.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 
-from .rng import gaussian, new_rng
+from .rng import box_muller, gaussian, new_rng
 
 MAGIC = b"WLAD"
 FORMAT_VERSION = 1
@@ -38,6 +40,10 @@ _HEADER_STRUCT = struct.Struct("<4s5I")
 
 # Labels are stored as u16, so class indices stop at MAX_CLASSES - 1.
 MAX_CLASSES = 0x10000
+
+# generate_synthetic transforms the noise uniforms of about this many bytes of
+# clips at once; its temporaries stay a few blocks, never the whole set twice.
+SYNTH_BLOCK_BYTES = 1 << 20
 
 
 class DatasetFormatError(ValueError):
@@ -225,31 +231,47 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
 
     Deterministic given ``cfg``: the PCG64 stream seeded by ``cfg.seed`` is
     consumed in a fixed order (prototypes, then per sample: label count,
-    classes, per class ascending its event count and frames, then the noise
-    matrix).
+    classes, per class ascending its event count and frames, then the
+    noise uniforms of :func:`~wlat.rng.gaussian` for the noise matrix).
+    Clips are generated in blocks of about :data:`SYNTH_BLOCK_BYTES`: each
+    clip's uniforms are drawn in stream order, then once per block they are
+    turned into normals, scaled, planted in draw order and rounded.  The
+    stream and every value are those of generating one clip at a time.
     """
     rng = new_rng(cfg.seed)
     prototypes = gaussian(rng, (cfg.n_classes, cfg.n_features))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+    planted = cfg.signal_scale * prototypes
 
+    n_values = cfg.n_frames * cfg.n_features
+    row_words = 2 * ((n_values + 1) // 2)
+    block_rows = max(1, SYNTH_BLOCK_BYTES // (8 * row_words))
+    uniforms = np.empty((min(block_rows, cfg.n_samples), row_words))
     samples = []
     truth: SynthTruth = {}
-    for i in range(cfg.n_samples):
-        sample_id = f"s{i:06d}"
-        n_labels = int(rng.integers(cfg.labels_per_sample_min, cfg.labels_per_sample_max + 1))
-        classes = np.sort(rng.choice(cfg.n_classes, size=n_labels, replace=False))
-        events = {}
-        for c in classes:
-            n_event = int(rng.integers(cfg.event_frames_min, cfg.event_frames_max + 1))
-            frames = np.sort(rng.choice(cfg.n_frames, size=n_event, replace=False))
-            events[int(c)] = tuple(int(t) for t in frames)
-        features = cfg.noise_sigma * gaussian(rng, (cfg.n_frames, cfg.n_features))
-        for c, frames in events.items():
-            features[list(frames)] += cfg.signal_scale * prototypes[c]
+    for start in range(0, cfg.n_samples, block_rows):
+        rows = min(block_rows, cfg.n_samples - start)
+        ids = [f"s{start + row:06d}" for row in range(rows)]
+        # np.add.at plants in this order (clip, class, frame), as clip by clip did
+        at_row, at_frame, at_class = [], [], []
+        for row, sample_id in enumerate(ids):
+            n_labels = int(rng.integers(cfg.labels_per_sample_min, cfg.labels_per_sample_max + 1))
+            events = truth[sample_id] = {}
+            for c in sorted(rng.choice(cfg.n_classes, size=n_labels, replace=False).tolist()):
+                n_event = int(rng.integers(cfg.event_frames_min, cfg.event_frames_max + 1))
+                frames = rng.choice(cfg.n_frames, size=n_event, replace=False).tolist()
+                events[c] = frames = tuple(sorted(frames))
+                at_row += [row] * n_event
+                at_frame += frames
+                at_class += [c] * n_event
+            rng.random(out=uniforms[row])
+        noise = box_muller(uniforms[:rows])[:, :n_values]
+        noise = noise.reshape(rows, cfg.n_frames, cfg.n_features)
+        noise *= cfg.noise_sigma
+        np.add.at(noise, (at_row, at_frame), planted[at_class])
         # round to storage precision so file round-trips are exact
-        features = features.astype(np.float32).astype(np.float64)
-        samples.append(Sample(sample_id, features, tuple(int(c) for c in classes)))
-        truth[sample_id] = events
+        block = noise.astype(np.float32).astype(np.float64)
+        samples += [Sample(i, features, tuple(truth[i])) for i, features in zip(ids, block)]
     return samples, truth
 
 

@@ -106,7 +106,12 @@ def test_gen_data_valid_flags_must_pair(tmp_path):
     (("--n-classes", 70000, "--n-samples", 20, "--n-frames", 3, "--n-features", 4),
      1, "n_classes 70000 exceeds u16 labels"),
     ((*GEN_FLAGS, "--truth-out", "missing/x.truth"), 2, "output directory does not exist"),
-], ids=["u16-class-limit", "missing-directory"])
+    ((*GEN_FLAGS, "--truth-out", "adir"), 2, "output path is a directory: adir"),
+    ((*GEN_FLAGS, "--truth-out", "x.wlad"), 2, "--out and --truth-out name the same file"),
+    ((*GEN_FLAGS, "--valid-samples", 2, "--valid-out", "./x.wlad"), 2,
+     "--out and --valid-out name the same file"),
+], ids=["u16-class-limit", "missing-directory", "directory-output", "same-file",
+        "same-file-spelled-twice"])
 def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, capsys,
                                                      flags, code, message):
     def never(cfg):
@@ -115,6 +120,7 @@ def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, caps
     monkeypatch.setattr(cli, "generate_synthetic", never)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "x.wlad").write_bytes(b"keep me")
+    (tmp_path / "adir").mkdir()
     assert run_cli("gen-data", *flags, "--out", "x.wlad") == code
     assert message in capsys.readouterr().err
     assert (tmp_path / "x.wlad").read_bytes() == b"keep me"
@@ -497,6 +503,21 @@ def test_missing_out_directory_fails_before_scoring(overfit_artifacts, tmp_path,
     assert code == 2
     printed = capsys.readouterr()
     assert "output directory does not exist" in printed.err
+    assert printed.out == ""
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_out_path_that_is_a_directory_fails_before_scoring(overfit_artifacts, tmp_path,
+                                                           monkeypatch, capsys, command):
+    data_path, model_path, _ = overfit_artifacts
+
+    def never(model, features):
+        raise AssertionError("predict_scores ran")
+
+    monkeypatch.setattr(cli, "predict_scores", never)
+    assert run_cli(command, "--model", model_path, "--data", data_path, "--out", tmp_path) == 2
+    printed = capsys.readouterr()
+    assert "output path is a directory" in printed.err
     assert printed.out == ""
 
 

@@ -1,16 +1,20 @@
 """Dataset format, synthetic generator, batching, and stacking tests."""
 
+import hashlib
 import io
 import struct
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlat import data
 from wlat.data import (
+    SYNTH_BLOCK_BYTES,
     DatasetFormatError,
     DatasetHeader,
     Sample,
@@ -225,6 +229,111 @@ def test_generator_is_deterministic():
     for a, b in zip(first, second):
         assert a.id == b.id and a.labels == b.labels
         assert np.array_equal(a.features, b.features)
+
+
+# sha256 of write_dataset bytes followed by write_truth text.  The generator's
+# output is a documented function of its config, so these digests hold across
+# any re-implementation that keeps the draw stream.
+GENERATOR_PINS = {
+    "odd-values-noise-free": (
+        dict(n_classes=4, n_samples=30, n_frames=3, n_features=5, noise_sigma=0.0, seed=11),
+        "acfad354d0206641724bc7bf9961c9135e0ec8b03a24bdf6dcc384764d40e8af",
+    ),
+    "every-class-labelled": (
+        dict(n_classes=3, n_samples=40, n_frames=4, n_features=6, labels_per_sample_max=3,
+             seed=12),
+        "4a3f16c5a452205b43ebeaf80fe421e7bda5ab57e0abb326795a5bbf3fc33269",
+    ),
+    "several-blocks": (
+        dict(n_classes=8, n_samples=250, n_frames=10, n_features=128, seed=13),
+        "bb66ae3c4801d504a4d146bc843dd7f3ddaa1dd4b48897386638b216150c17a6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_PINS)
+def test_generator_output_is_pinned(name):
+    overrides, digest = GENERATOR_PINS[name]
+    cfg = SynthConfig(**overrides)
+    samples, truth = generate_synthetic(cfg)
+    text = io.StringIO()
+    write_truth(truth, text)
+    blob = write_bytes(samples, cfg.header()) + text.getvalue().encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def synth_block_rows(cfg):
+    """Clips per generator block: SYNTH_BLOCK_BYTES of their noise uniforms."""
+    row_bytes = 8 * 2 * ((cfg.n_frames * cfg.n_features + 1) // 2)
+    return SYNTH_BLOCK_BYTES // row_bytes
+
+
+def test_several_blocks_pin_ends_in_a_partial_block():
+    cfg = SynthConfig(**GENERATOR_PINS["several-blocks"][0])
+    rows = synth_block_rows(cfg)
+    assert cfg.n_samples > 2 * rows and cfg.n_samples % rows
+
+
+def test_generator_memory_is_a_few_blocks():
+    n_frames, n_features = 10, 128
+    rows = synth_block_rows(SynthConfig(n_frames=n_frames, n_features=n_features))
+    cfg = SynthConfig(n_samples=8 * rows + rows // 2, n_frames=n_frames, n_features=n_features)
+    tracemalloc.start()
+    try:
+        generate_synthetic(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the float64 features it returns, plus the buffers of a few blocks;
+    # transforming every clip at once would hold the features twice over
+    assert peak < cfg.n_samples * n_frames * n_features * 8 + 4 * SYNTH_BLOCK_BYTES
+
+
+def generate_clip_by_clip(cfg):
+    """Reference generator: the documented draw order, one clip at a time."""
+    rng = new_rng(cfg.seed)
+    prototypes = gaussian(rng, (cfg.n_classes, cfg.n_features))
+    prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+    samples, truth = [], {}
+    for i in range(cfg.n_samples):
+        n_labels = int(rng.integers(cfg.labels_per_sample_min, cfg.labels_per_sample_max + 1))
+        events = {}
+        for c in np.sort(rng.choice(cfg.n_classes, size=n_labels, replace=False)):
+            n_event = int(rng.integers(cfg.event_frames_min, cfg.event_frames_max + 1))
+            frames = np.sort(rng.choice(cfg.n_frames, size=n_event, replace=False))
+            events[int(c)] = tuple(int(t) for t in frames)
+        features = cfg.noise_sigma * gaussian(rng, (cfg.n_frames, cfg.n_features))
+        for c, frames in events.items():
+            features[list(frames)] += cfg.signal_scale * prototypes[c]
+        sample_id = f"s{i:06d}"
+        samples.append(Sample(sample_id, features.astype(np.float32).astype(np.float64),
+                              tuple(events)))
+        truth[sample_id] = events
+    return samples, truth
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_frames=st.integers(1, 6),
+    n_features=st.integers(1, 7),
+    n_classes=st.integers(1, 5),
+    n_samples=st.integers(1, 25),
+    noise_sigma=st.sampled_from([0.0, 0.3, 1.0]),
+    block_bytes=st.integers(1, 600),
+    seed=st.integers(0, 2**32),
+)
+def test_blocks_reproduce_the_clip_by_clip_stream(n_frames, n_features, n_classes, n_samples,
+                                                  noise_sigma, block_bytes, seed):
+    cfg = SynthConfig(n_classes=n_classes, n_samples=n_samples, n_frames=n_frames,
+                      n_features=n_features, event_frames_max=n_frames,
+                      labels_per_sample_max=n_classes, noise_sigma=noise_sigma, seed=seed)
+    with mock.patch.object(data, "SYNTH_BLOCK_BYTES", block_bytes):
+        samples, truth = generate_synthetic(cfg)
+    reference, reference_truth = generate_clip_by_clip(cfg)
+    assert truth == reference_truth
+    assert [(s.id, s.labels) for s in samples] == [(s.id, s.labels) for s in reference]
+    # bytes, not values: a -0.0 where the reference has 0.0 would change the file
+    assert [s.features.tobytes() for s in samples] == [s.features.tobytes() for s in reference]
 
 
 def test_different_seeds_differ():
