@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
-from typing import Callable, Sequence, get_type_hints
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -149,14 +149,22 @@ def _config(config: type, args: argparse.Namespace):
     return config(**{field.name: getattr(args, field.name) for field in fields(config)})
 
 
-def _check_out(path: str) -> None:
-    """Fail before any work when an output file's directory does not exist or
-    the output path itself is a directory."""
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise UsageError(f"output directory does not exist: {parent}")
-    if os.path.isdir(path):
-        raise UsageError(f"output path is a directory: {path}")
+def _check_files(args: argparse.Namespace, read: Sequence[str], written: Iterable[tuple]) -> None:
+    """Fail before any work if an output's directory is missing, its path is a directory, or
+    its ``os.path.realpath`` names ``--config``, a ``read`` flag's file or another output.
+    ``written`` holds (flag name, path) pairs; read files may be the same file."""
+    flag_by_file = {os.path.realpath(getattr(args, name)): args.flags.get(name, "--config")
+                    for name in ("config", *read) if getattr(args, name) is not None}
+    for name, path in written:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"output directory does not exist: {parent}")
+        if os.path.isdir(path):
+            raise UsageError(f"output path is a directory: {path}")
+        real, flag = os.path.realpath(path), args.flags[name]
+        if real in flag_by_file:
+            raise UsageError(f"{flag_by_file[real]} and {flag} name the same file: {path}")
+        flag_by_file[real] = flag
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
@@ -172,12 +180,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         raise ValueError(f"valid split {n_valid} must be smaller than n_samples {cfg.n_samples}")
     outputs = ("out", "valid_out", "truth_out", "valid_truth_out")
     paths = {name: getattr(args, name) for name in outputs if getattr(args, name) is not None}
-    flag_by_file: dict[str, str] = {}
-    for name, path in paths.items():
-        _check_out(path)
-        first = flag_by_file.setdefault(os.path.realpath(path), name)
-        if first != name:
-            raise UsageError(f"{args.flags[first]} and {args.flags[name]} name the same file: {path}")
+    _check_files(args, (), paths.items())
 
     samples, truth = generate_synthetic(cfg)
     split = cfg.n_samples - n_valid
@@ -204,6 +207,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _require(args, "arch", "train_path", "valid_path", "out")
     cfg = _config(TrainConfig, args)
     os.makedirs(args.out, exist_ok=True)
+    weights_path, log_path = (os.path.join(args.out, f) for f in ("model.wlam", "train_log.tsv"))
+    _check_files(args, ("train_path", "valid_path"), (("out", weights_path), ("out", log_path)))
 
     train_header, train_samples = _load_dataset(args.train_path)
     valid_header, valid_samples = _load_dataset(args.valid_path)
@@ -218,10 +223,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = build_model(spec, train_header.n_features, args.init_seed)
     result = fit(model, train_samples, valid_samples, cfg)
 
-    weights_path = os.path.join(args.out, "model.wlam")
     with open(weights_path, "wb") as handle:
         save_weights(model, handle)
-    log_path = os.path.join(args.out, "train_log.tsv")
     with open(log_path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(result.log_lines) + "\n")
 
@@ -235,8 +238,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _score_dataset(args: argparse.Namespace):
     """Score a dataset with a checkpoint whose header must agree with any given flags."""
     _require(args, "model", "data")
-    if args.out is not None:
-        _check_out(args.out)
+    _check_files(args, ("model", "data"), [("out", args.out)] if args.out is not None else ())
     header, samples = _load_dataset(args.data)
     with open(args.model, "rb") as handle:
         model = load_weights(handle)
@@ -322,6 +324,3 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-
-def main() -> None:
-    sys.exit(run(sys.argv[1:]))

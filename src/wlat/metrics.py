@@ -36,13 +36,6 @@ class DegenerateClassError(ValueError):
         self.reason = reason
 
 
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF; raises ValueError outside the open interval (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    return statistics.NormalDist().inv_cdf(p)
-
-
 def clamp_auc(value: float) -> tuple[float, bool]:
     """Pull an AUC into [AUC_CLAMP, 1 - AUC_CLAMP]; flag says whether it moved."""
     if math.isnan(value) or not 0.0 <= value <= 1.0:
@@ -56,7 +49,7 @@ def auc_to_dprime(value: float) -> float:
 
     Extreme AUCs are first pulled to the bounds of :func:`clamp_auc`.
     """
-    return _SQRT2 * normal_quantile(clamp_auc(value)[0])
+    return _SQRT2 * statistics.NormalDist().inv_cdf(clamp_auc(value)[0])
 
 
 def exclusion_reasons(truth: np.ndarray) -> list[str | None]:

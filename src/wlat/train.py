@@ -1,6 +1,7 @@
 """Binary cross-entropy training loop with Adam, checkpointing and replay.
 
-A run is a pure function of (seed, data, config): the master seed spawns
+A run is a pure function of (seed, data, config) for a fixed numpy/BLAS build
+and BLAS thread count (BLAS splits its sums by thread): the master seed spawns
 one stream for dropout masks and one seed per epoch for batch shuffling,
 so evaluation cadence never perturbs the draws.  The best-by-validation-mAP
 parameter snapshot is restored into the model when fit returns.

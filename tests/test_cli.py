@@ -39,14 +39,51 @@ def test_list_archs_prints_all_presets(capsys):
     assert len(printed) == 9
 
 
-def test_python_m_wlat_runs_the_cli():
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def python_env(blas_threads=None):
+    """Environment for a child interpreter that imports this ``wlat``; the BLAS
+    thread variables are set to ``blas_threads``, or unset when it is None."""
     src = Path(wlat.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, blas_threads))
+    return dict(env, PYTHONPATH=path)
+
+
+def test_python_m_wlat_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "wlat", "--list-archs"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=python_env(), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == list(PRESET_ARCHS)
+
+
+def test_importing_wlat_runs_nothing_and_leaves_blas_alone():
+    code = "import os, wlat, wlat.__main__; print([os.environ.get(v) for v in %r])"
+    done = subprocess.run([sys.executable, "-c", code % (BLAS_THREAD_VARS,)],
+                          capture_output=True, text=True, env=python_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[None, None]\n"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one CPU")
+def test_train_checkpoint_is_the_same_whatever_the_blas_environment(tmp_path):
+    train, valid = tmp_path / "train.wlad", tmp_path / "valid.wlad"
+    assert run_cli("gen-data", "--n-samples", 1000, "--out", train,
+                   "--valid-out", valid, "--valid-samples", 200) == 0
+    checkpoints = []
+    for blas_threads in (None, "1"):
+        out = tmp_path / f"threads-{blas_threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "wlat", "train", "--arch", "2-A-1-A", "--hidden-units", "64",
+             "--train", str(train), "--valid", str(valid), "--out", str(out),
+             "--epochs", "2", "--batch-size", "100", "--lr", "0.01"],
+            capture_output=True, text=True, env=python_env(blas_threads), timeout=120)
+        assert done.returncode == 0, done.stderr
+        checkpoints.append((out / "model.wlam").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_no_command_is_usage_error(capsys):
@@ -152,6 +189,15 @@ def test_config_file_supplies_flags_and_flags_override(tmp_path):
     from_flags = tmp_path / "flags.wlad"
     assert run_cli("gen-data", *GEN_FLAGS, "--seed", 7, "--out", from_flags) == 0
     assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+def test_gen_data_out_naming_its_config_fails_before_writing(tmp_path, capsys):
+    config = tmp_path / "recipe.json"
+    config.write_text(json.dumps({"n_classes": 5, "n_samples": 12}))
+    before = config.read_bytes()
+    assert run_cli("gen-data", "--config", config, "--out", config) == 2
+    assert "--config and --out name the same file" in capsys.readouterr().err
+    assert config.read_bytes() == before
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -261,6 +307,28 @@ def test_train_writes_checkpoint_and_log(tiny_dataset, tmp_path, capsys):
     log_lines = (out_dir / "train_log.tsv").read_text().splitlines()
     assert len(log_lines) == 2
     assert all(len(line.split("\t")) == 6 for line in log_lines)
+
+
+def test_train_may_validate_on_its_training_file(tiny_dataset, tmp_path):
+    train, _ = tiny_dataset
+    assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", train,
+                   "--out", tmp_path / "run", "--epochs", 1, "--batch-size", 8,
+                   "--hidden-units", 6) == 0
+
+
+def test_train_checkpoint_path_that_is_a_directory_fails_before_training(
+        tiny_dataset, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(cli, "fit", never)
+    train, valid = tiny_dataset
+    out_dir = tmp_path / "run"
+    (out_dir / "model.wlam").mkdir(parents=True)
+    assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", valid,
+                   "--out", out_dir) == 2
+    assert "output path is a directory" in capsys.readouterr().err
+    assert not (out_dir / "train_log.tsv").exists()
 
 
 def test_train_rejects_mismatched_dims(tiny_dataset, tmp_path, capsys):
@@ -519,6 +587,32 @@ def test_out_path_that_is_a_directory_fails_before_scoring(overfit_artifacts, tm
     printed = capsys.readouterr()
     assert "output path is a directory" in printed.err
     assert printed.out == ""
+
+
+@pytest.mark.parametrize("command,flag,link", [
+    ("evaluate", "--data", False),
+    ("evaluate", "--data", True),
+    ("predict", "--model", False),
+], ids=["evaluate-data", "evaluate-data-symlink", "predict-model"])
+def test_out_naming_an_input_fails_before_scoring(overfit_artifacts, tmp_path, monkeypatch,
+                                                  capsys, command, flag, link):
+    def never(model, features):
+        raise AssertionError("predict_scores ran")
+
+    monkeypatch.setattr(cli, "predict_scores", never)
+    data_path, model_path, _ = overfit_artifacts
+    inputs = {"--data": tmp_path / "ten.wlad", "--model": tmp_path / "model.wlam"}
+    inputs["--data"].write_bytes(data_path.read_bytes())
+    inputs["--model"].write_bytes(model_path.read_bytes())
+    before = inputs[flag].read_bytes()
+    out = inputs[flag]
+    if link:
+        out = tmp_path / "report.tsv"
+        out.symlink_to(inputs[flag])
+    assert run_cli(command, "--model", inputs["--model"], "--data", inputs["--data"],
+                   "--out", out) == 2
+    assert f"{flag} and --out name the same file" in capsys.readouterr().err
+    assert inputs[flag].read_bytes() == before
 
 
 def test_evaluate_missing_file_is_runtime_error(overfit_artifacts, capsys):

@@ -18,7 +18,6 @@ from wlat.metrics import (
     evaluate,
     human_table,
     machine_lines,
-    normal_quantile,
 )
 from wlat.rng import gaussian, new_rng
 
@@ -211,12 +210,12 @@ class TestDprime:
     def test_quantile_round_trip(self):
         for p in np.geomspace(1e-6, 0.5, 40):
             for q in (float(p), float(1.0 - p)):
-                assert abs(oracle_normal_cdf(normal_quantile(q)) - q) < 1e-9
+                assert abs(oracle_normal_cdf(auc_to_dprime(q) / math.sqrt(2.0)) - q) < 1e-9
 
-    def test_quantile_rejects_endpoints(self):
-        for bad in (0.0, 1.0, -0.1, 1.1, float("nan")):
+    def test_dprime_rejects_out_of_range(self):
+        for bad in (-0.1, 1.1, float("nan")):
             with pytest.raises(ValueError):
-                normal_quantile(bad)
+                auc_to_dprime(bad)
 
     def test_clamp_behavior(self):
         clamped, flagged = clamp_auc(1.0)
