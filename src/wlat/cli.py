@@ -149,15 +149,24 @@ def _config(config: type, args: argparse.Namespace):
     return config(**{field.name: getattr(args, field.name) for field in fields(config)})
 
 
-def _check_files(args: argparse.Namespace, read: Sequence[str], written: Iterable[tuple]) -> None:
+def _check_files(args: argparse.Namespace, read: Sequence[str], written: Iterable[tuple],
+                 out_dir: str | None = None) -> None:
     """Fail before any work if an output's directory is missing, its path is a directory, or
     its ``os.path.realpath`` names ``--config``, a ``read`` flag's file or another output.
-    ``written`` holds (flag name, path) pairs; read files may be the same file."""
+    ``written`` holds (flag name, path) pairs; read files may be the same file.  Given an
+    ``out_dir``, which the command makes and writes every output into, that directory may be
+    missing, but the nearest existing path on its way up must be a directory."""
+    if out_dir is not None:
+        existing = out_dir
+        while not os.path.lexists(existing):
+            existing = os.path.dirname(existing) or "."
+        if not os.path.isdir(existing):
+            raise UsageError(f"output directory is not a directory: {existing}")
     flag_by_file = {os.path.realpath(getattr(args, name)): args.flags.get(name, "--config")
                     for name in ("config", *read) if getattr(args, name) is not None}
     for name, path in written:
         parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
+        if out_dir is None and not os.path.isdir(parent):
             raise UsageError(f"output directory does not exist: {parent}")
         if os.path.isdir(path):
             raise UsageError(f"output path is a directory: {path}")
@@ -206,9 +215,9 @@ def _load_dataset(path: str):
 def _cmd_train(args: argparse.Namespace) -> int:
     _require(args, "arch", "train_path", "valid_path", "out")
     cfg = _config(TrainConfig, args)
-    os.makedirs(args.out, exist_ok=True)
     weights_path, log_path = (os.path.join(args.out, f) for f in ("model.wlam", "train_log.tsv"))
-    _check_files(args, ("train_path", "valid_path"), (("out", weights_path), ("out", log_path)))
+    _check_files(args, ("train_path", "valid_path"), (("out", weights_path), ("out", log_path)),
+                 args.out)
 
     train_header, train_samples = _load_dataset(args.train_path)
     valid_header, valid_samples = _load_dataset(args.valid_path)
@@ -218,6 +227,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 f"train/valid disagree on {dim}: "
                 f"{getattr(train_header, dim)} != {getattr(valid_header, dim)}"
             )
+    os.makedirs(args.out, exist_ok=True)
 
     spec = parse_arch(cfg.arch, args.hidden_units, train_header.n_classes)
     model = build_model(spec, train_header.n_features, args.init_seed)

@@ -16,10 +16,12 @@ File format (all integers little-endian):
              n_frames * n_features feature values as IEEE-754 float32,
              row-major, label_count u16, label indices u16 each
 
-Features are stored at float32 precision; in memory everything is float64.
-The generator rounds its output to float32 so write -> read is exact.  It
-draws clip by clip from one seeded stream but transforms the noise a block
-of clips at a time; the clips of a block share one float64 array.
+Features are stored at float32 precision and stay float32 in memory: a
+read clip is a read-only view of the bytes read, and the generator rounds
+its output to float32, so write -> read is exact.  The model widens them
+to float64 one batch or chunk at a time.  The generator draws clip by clip
+from one seeded stream but transforms the noise a block of clips at a time;
+the clips of a block share one float32 array.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class Sample:
     """One weakly labelled clip: frame features plus present-class indices."""
 
     id: str
-    features: np.ndarray  # (n_frames, n_features) float64
+    features: np.ndarray  # (n_frames, n_features), float32 when read or generated
     labels: tuple[int, ...]  # strictly increasing, each < n_classes
 
     def validate(self, header: DatasetHeader) -> None:
@@ -161,10 +163,10 @@ def read_dataset(source: BinaryIO) -> tuple[DatasetHeader, list[Sample]]:
             raise DatasetFormatError(f"truncated stream while reading sample {ordinal}") from None
         except UnicodeDecodeError:
             raise DatasetFormatError(f"sample {ordinal}: id is not valid UTF-8") from None
-        # validate the stored float32 values: widening a signalling NaN would warn
+        # a read-only view of the stored float32 values, checked as stored
         features = np.frombuffer(blob, "<f4", n_values, features_at).reshape(n_frames, n_features)
-        Sample(sample_id, features, labels).validate(header)
-        samples.append(Sample(sample_id, features.astype(np.float64), labels))
+        samples.append(Sample(sample_id, features, labels))
+        samples[-1].validate(header)
         offset = labels_at + 2 * label_count
     if offset != end:
         raise DatasetFormatError(f"{end - offset} trailing bytes after the last sample")
@@ -270,7 +272,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
         noise *= cfg.noise_sigma
         np.add.at(noise, (at_row, at_frame), planted[at_class])
         # round to storage precision so file round-trips are exact
-        block = noise.astype(np.float32).astype(np.float64)
+        block = noise.astype(np.float32)
         samples += [Sample(i, features, tuple(truth[i])) for i, features in zip(ids, block)]
     return samples, truth
 
@@ -300,7 +302,7 @@ def read_truth(source: TextIO) -> SynthTruth:
 
 
 def stack_features(samples: Sequence[Sample]) -> np.ndarray:
-    """Stack clip features into an (n_samples, n_frames, n_features) array."""
+    """Stack clip features into an (n_samples, n_frames, n_features) array of their dtype."""
     return np.stack([s.features for s in samples])
 
 

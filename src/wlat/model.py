@@ -219,7 +219,9 @@ def forward_cached(
     Train mode normalizes with batch statistics (over all frames of all
     clips), zeroes units at rate ``dropout`` with masks from ``rng``, and
     updates running statistics; infer mode uses running statistics and no
-    dropout.
+    dropout.  Features of any dtype (float32 as read or generated) are
+    widened to float64 here, once per call, so a batch or chunk is the most
+    that is ever held at float64 and every kernel computes in float64.
     """
     if features.ndim != 3 or features.shape[2] != model.input_dim:
         raise ValueError(
@@ -231,7 +233,7 @@ def forward_cached(
 
     retain = mode == TRAIN
     n_clips, n_frames, _ = features.shape
-    x = features.reshape(n_clips * n_frames, model.input_dim)
+    x = features.reshape(n_clips * n_frames, model.input_dim).astype(np.float64, copy=False)
 
     layer_io = []
     level_io = []

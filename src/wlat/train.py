@@ -197,6 +197,10 @@ def fit(
             if not any(grad.any() for grad in grads.values()):
                 raise ValueError(f"every gradient is zero at epoch {epoch}, step {adam.t + 1}: "
                                  "the output layer is saturated")
+            for name, grad in grads.items():
+                if not np.isfinite(grad).all():
+                    raise ValueError(f"gradient {name} is not finite at epoch {epoch}, "
+                                     f"step {adam.t + 1}")
             adam_step(params, grads, adam)
             loss_sum += loss * batch.size
         epoch_loss = loss_sum / n_train

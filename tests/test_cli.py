@@ -13,6 +13,7 @@ import pytest
 
 import wlat
 from wlat import cli
+from wlat import train as train_module
 from wlat.data import SynthConfig, generate_synthetic, read_dataset, stack_features, write_dataset
 from wlat.model import (
     PRESET_ARCHS,
@@ -329,6 +330,48 @@ def test_train_checkpoint_path_that_is_a_directory_fails_before_training(
                    "--out", out_dir) == 2
     assert "output path is a directory" in capsys.readouterr().err
     assert not (out_dir / "train_log.tsv").exists()
+
+
+@pytest.mark.parametrize("below", [(), ("run",)], ids=["file", "under-file"])
+def test_train_out_under_a_file_is_usage_error_before_reading(
+        tiny_dataset, monkeypatch, capsys, below):
+    def never(path):
+        raise AssertionError("a dataset was read")
+
+    monkeypatch.setattr(cli, "_load_dataset", never)
+    train, valid = tiny_dataset
+    stored = valid.read_bytes()
+    assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", valid,
+                   "--out", valid.joinpath(*below)) == 2
+    assert f"output directory is not a directory: {valid}" in capsys.readouterr().err
+    assert valid.read_bytes() == stored
+
+
+def test_train_makes_no_output_directory_when_a_dataset_fails(tiny_dataset, tmp_path, capsys):
+    _, valid = tiny_dataset
+    fresh = tmp_path / "fresh"
+    assert run_cli("train", "--arch", "1-A", "--train", tmp_path / "nope.wlad", "--valid", valid,
+                   "--out", fresh) == 1
+    assert "nope.wlad" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
+def test_train_stops_at_non_finite_gradient(tiny_dataset, tmp_path, monkeypatch, capsys):
+    real = train_module.backward
+
+    def poisoned(model, fwd, grad_z):
+        grads = real(model, fwd, grad_z)
+        grads["out.bias"][0] = np.inf
+        return grads
+
+    monkeypatch.setattr(train_module, "backward", poisoned)
+    train, valid = tiny_dataset
+    code = run_cli("train", "--arch", "1-A", "--train", train, "--valid", valid,
+                   "--out", tmp_path / "run", "--epochs", 2, "--batch-size", 8,
+                   "--hidden-units", 6)
+    assert code == 1
+    assert "gradient out.bias is not finite at epoch 1, step 1" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.wlam").exists()
 
 
 def test_train_rejects_mismatched_dims(tiny_dataset, tmp_path, capsys):

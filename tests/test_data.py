@@ -73,7 +73,28 @@ def test_round_trip_identity():
     for original, copy in zip(samples, loaded):
         assert copy.id == original.id
         assert copy.labels == original.labels
-        assert np.array_equal(copy.features, original.features)
+        # generated and read features are both the stored float32 values
+        assert original.features.dtype == copy.features.dtype == np.float32
+        assert copy.features.tobytes() == original.features.tobytes()
+
+
+def test_read_holds_the_features_once(tmp_path):
+    cfg = SynthConfig(n_classes=527, n_samples=1000, n_frames=10, n_features=128)
+    samples, _ = generate_synthetic(cfg)
+    path = tmp_path / "paper.wlad"
+    with open(path, "wb") as sink:
+        size = write_dataset(samples, cfg.header(), sink)
+    del samples
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as source:
+            read_dataset(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bytes read, which the features view, plus the objects of each clip;
+    # widening the features to float64 would hold them twice more
+    assert peak < size + cfg.n_samples * 1024
 
 
 def test_write_is_deterministic():
@@ -284,9 +305,9 @@ def test_generator_memory_is_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the float64 features it returns, plus the buffers of a few blocks;
+    # the float32 features it returns, plus the buffers of a few blocks;
     # transforming every clip at once would hold the features twice over
-    assert peak < cfg.n_samples * n_frames * n_features * 8 + 4 * SYNTH_BLOCK_BYTES
+    assert peak < cfg.n_samples * n_frames * n_features * 4 + 4 * SYNTH_BLOCK_BYTES
 
 
 def generate_clip_by_clip(cfg):
@@ -306,8 +327,7 @@ def generate_clip_by_clip(cfg):
         for c, frames in events.items():
             features[list(frames)] += cfg.signal_scale * prototypes[c]
         sample_id = f"s{i:06d}"
-        samples.append(Sample(sample_id, features.astype(np.float32).astype(np.float64),
-                              tuple(events)))
+        samples.append(Sample(sample_id, features.astype(np.float32), tuple(events)))
         truth[sample_id] = events
     return samples, truth
 

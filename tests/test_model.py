@@ -201,22 +201,31 @@ class TestForward:
         scores = predict_scores(model, features)
         assert np.array_equal(scores, forward_cached(model, features, INFER).z)
 
+    def test_float32_features_score_as_their_float64_widening(self):
+        model = toy_model()
+        n_clips = 5 * INFER_CHUNK_ROWS // (2 * 6) + 1
+        features = gaussian(new_rng(15), (n_clips, 6, 4)).astype(np.float32)
+        scores = predict_scores(model, features)
+        assert scores.tobytes() == predict_scores(model, features.astype(np.float64)).tobytes()
+
     def test_predict_scores_memory_is_one_chunk(self):
         hidden, n_frames = 32, 10
         model = build_model(parse_arch("2-A-1-A", hidden_units=hidden, n_classes=8), 16, 0)
         features = gaussian(new_rng(14), (8 * INFER_CHUNK_ROWS // n_frames, n_frames, 16))
         widest_activation = INFER_CHUNK_ROWS * hidden * 8  # bytes of one chunk's layer output
-        tracemalloc.start()
-        try:
-            predict_scores(model, features)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # a few live activations of one chunk, not a cache of all eight
-        assert peak < 8 * widest_activation
-        # ReLU runs in place on the batch-norm output and each activation is
-        # freed once the next exists, so at most two are live at a time
-        assert peak < 3.0 * widest_activation
+        # float32 features guard against widening the whole set at once
+        for clips in (features, features.astype(np.float32)):
+            tracemalloc.start()
+            try:
+                predict_scores(model, clips)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a few live activations of one chunk, not a cache of all eight
+            assert peak < 8 * widest_activation, clips.dtype
+            # ReLU runs in place on the batch-norm output and each activation is
+            # freed once the next exists, so at most two are live at a time
+            assert peak < 3.0 * widest_activation, clips.dtype
 
 
 class TestBackward:

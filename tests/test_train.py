@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from wlat.data import SynthConfig, generate_synthetic
+from wlat import train as train_module
+from wlat.data import Sample, SynthConfig, generate_synthetic
 from wlat.metrics import evaluate
 from wlat.model import build_model, load_weights, parse_arch, predict_scores, save_weights
 from wlat.rng import gaussian, new_rng
@@ -300,6 +301,43 @@ class TestFit:
         with pytest.raises(ValueError, match="every gradient is zero at epoch 1, step 2:"):
             fit(small_model(), train, valid, cfg)
         assert len(batches) == 2
+
+    def test_non_finite_gradient_stops_before_any_update(self, monkeypatch):
+        _, train, valid = small_split()
+        model = small_model()
+        real = train_module.backward
+        before_update = []
+
+        def poisoned(model, fwd, grad_z):
+            grads = real(model, fwd, grad_z)
+            if len(before_update) == 1:  # the second step
+                grads["head0.att.weight"][0, 0] = np.nan
+            before_update.append(model.copy_state())
+            return grads
+
+        monkeypatch.setattr(train_module, "backward", poisoned)
+        cfg = TrainConfig(arch="1-A", epochs=2, batch_size=8, lr=0.01, seed=9)
+        with pytest.raises(ValueError,
+                           match="gradient head0.att.weight is not finite at epoch 1, step 2$"):
+            fit(model, train, valid, cfg)
+        assert len(before_update) == 2
+        for name, arr in model.state_params().items():
+            assert np.array_equal(arr, before_update[1][name]), name
+
+    def test_float32_features_train_as_their_float64_widening(self):
+        _, train, valid = small_split()
+        assert train[0].features.dtype == np.float32
+        widened = [[Sample(s.id, s.features.astype(np.float64), s.labels) for s in part]
+                   for part in (train, valid)]
+        cfg = TrainConfig(arch="2-A-1-A", epochs=3, batch_size=8, lr=0.01, seed=9)
+        runs = []
+        for parts in ((train, valid), widened):
+            model = small_model("2-A-1-A")
+            log_lines = fit(model, *parts, cfg).log_lines
+            weights = io.BytesIO()
+            save_weights(model, weights)
+            runs.append((log_lines, weights.getvalue()))
+        assert runs[0] == runs[1]
 
     def test_arch_mismatch_rejected(self):
         _, train, valid = small_split()
