@@ -151,12 +151,15 @@ def _config(config: type, args: argparse.Namespace):
 
 def _check_files(args: argparse.Namespace, read: Sequence[str], written: Iterable[tuple],
                  out_dir: str | None = None) -> None:
-    """Fail before any work if an output's directory is missing, its path is a directory, or
-    its ``os.path.realpath`` names ``--config``, a ``read`` flag's file or another output.
+    """Fail before any work if an output's path is empty or a directory, its directory is
+    missing, or its ``os.path.realpath`` names ``--config``, a ``read`` flag's file or another
+    output.
     ``written`` holds (flag name, path) pairs; read files may be the same file.  Given an
     ``out_dir``, which the command makes and writes every output into, that directory may be
     missing, but the nearest existing path on its way up must be a directory."""
     if out_dir is not None:
+        if not out_dir:
+            raise UsageError("output directory is an empty path")
         existing = out_dir
         while not os.path.lexists(existing):
             existing = os.path.dirname(existing) or "."
@@ -165,6 +168,8 @@ def _check_files(args: argparse.Namespace, read: Sequence[str], written: Iterabl
     flag_by_file = {os.path.realpath(getattr(args, name)): args.flags.get(name, "--config")
                     for name in ("config", *read) if getattr(args, name) is not None}
     for name, path in written:
+        if not path:
+            raise UsageError(f"{args.flags[name]} is an empty path")
         parent = os.path.dirname(path) or "."
         if out_dir is None and not os.path.isdir(parent):
             raise UsageError(f"output directory does not exist: {parent}")
@@ -227,12 +232,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 f"train/valid disagree on {dim}: "
                 f"{getattr(train_header, dim)} != {getattr(valid_header, dim)}"
             )
-    os.makedirs(args.out, exist_ok=True)
 
     spec = parse_arch(cfg.arch, args.hidden_units, train_header.n_classes)
     model = build_model(spec, train_header.n_features, args.init_seed)
     result = fit(model, train_samples, valid_samples, cfg)
 
+    os.makedirs(args.out, exist_ok=True)
     with open(weights_path, "wb") as handle:
         save_weights(model, handle)
     with open(log_path, "w", encoding="utf-8") as handle:
@@ -250,6 +255,8 @@ def _score_dataset(args: argparse.Namespace):
     _require(args, "model", "data")
     _check_files(args, ("model", "data"), [("out", args.out)] if args.out is not None else ())
     header, samples = _load_dataset(args.data)
+    if not samples:
+        raise ValueError(f"--data {args.data} holds no clips to score")
     with open(args.model, "rb") as handle:
         model = load_weights(handle)
     spec = model.spec

@@ -5,18 +5,25 @@ the suite's figures the same whatever the machine's core count.  It must take
 effect before numpy loads, hence before any other import here.
 """
 
+import io
 import os
 import sys
+import time
 
 if "numpy" in sys.modules:
     raise RuntimeError("numpy was imported before tests/conftest.py could pin BLAS to one thread")
 if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
     os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
+import numpy as np
 import pytest
 
 from wlat import train as train_module
+from wlat.data import SynthConfig, generate_synthetic
+from wlat.model import PRESET_ARCHS, build_model, model_grad_check, parse_arch, save_weights
 from wlat.nn import TRAIN
+from wlat.rng import gaussian, new_rng
+from wlat.train import TrainConfig, bce_loss, fit
 
 
 @pytest.fixture
@@ -37,6 +44,41 @@ def record_batches(monkeypatch):
         return batches
 
     return start
+
+
+@pytest.fixture(scope="session")
+def overfit_run():
+    """Drive ten clips to near-zero loss once per session: (samples, fit result, checkpoint
+    bytes).  Criterion 8 reads the log; a test that trains further loads its own copy."""
+    cfg = SynthConfig(n_samples=10)
+    samples, _ = generate_synthetic(cfg)
+    spec = parse_arch("3-A", hidden_units=32, n_classes=cfg.n_classes)
+    model = build_model(spec, cfg.n_features, init_seed=0)
+    result = fit(model, samples, samples, TrainConfig(
+        arch="3-A", epochs=500, batch_size=10, lr=0.1, dropout=0.0, seed=0, eval_every=100,
+    ))
+    checkpoint = io.BytesIO()
+    save_weights(model, checkpoint)
+    return samples, result, checkpoint.getvalue()
+
+
+@pytest.fixture(scope="session")
+def preset_grad_checks():
+    """Finite-difference check every preset once per session at toy size (H=5, K=3,
+    input 4, 3x2 clips): ({arch: (max rel error, parameters restored)}, seconds)."""
+    start = time.monotonic()
+    checks = {}
+    for arch in PRESET_ARCHS:
+        spec = parse_arch(arch, hidden_units=5, n_classes=3)
+        model = build_model(spec, input_dim=4, init_seed=0)
+        rng = new_rng(1)
+        features = gaussian(rng, (3, 2, 4))
+        targets = (rng.random((3, 3)) < 0.5).astype(np.float64)
+        before = model.copy_state()
+        error = model_grad_check(model, features, lambda z: bce_loss(z, targets))
+        state = model.state_params()
+        checks[arch] = error, all(np.array_equal(state[name], arr) for name, arr in before.items())
+    return checks, time.monotonic() - start
 
 
 def pytest_collection_modifyitems(items):

@@ -1,30 +1,15 @@
 """Attention pooling head: forward oracle, reductions, and gradient checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlat import nn
-from wlat.attention import AttentionHead, backward_batch, forward_batch
+from wlat.attention import backward_batch, forward_batch
 from wlat.rng import gaussian, new_rng
 
-
-def random_head(rng, width, n_classes):
-    head = AttentionHead(
-        nn.DenseLayer.init(rng, width, n_classes), nn.DenseLayer.init(rng, width, n_classes)
-    )
-    head.att_dense.bias[:] = gaussian(rng, n_classes)
-    head.cls_dense.bias[:] = gaussian(rng, n_classes)
-    return head
-
-
-def pool_clip(h, head):
-    """Pool one clip (n_frames, width) as a batch of one: (y, weights)."""
-    y, weights, _, _ = forward_batch(h[None], head)
-    return y[0], weights[0]
+from oracles import naive_attention, pool_clip, random_head
 
 
 def pool_clip_backward(h, head, grad_y):
@@ -32,39 +17,6 @@ def pool_clip_backward(h, head, grad_y):
     _, weights, frame_probs, denom = forward_batch(h[None], head)
     grad_h, grads = backward_batch(h[None], head, weights, frame_probs, denom, grad_y[None])
     return grad_h[0], grads
-
-
-def naive_attention(h, head):
-    """Scalar-loop re-implementation of the pooling definition."""
-    n_frames, _ = h.shape
-    n_classes = head.n_classes
-    v = np.zeros((n_frames, n_classes))
-    f = np.zeros((n_frames, n_classes))
-    for t in range(n_frames):
-        att = [
-            sum(h[t, i] * head.att_dense.weight[i, k] for i in range(h.shape[1]))
-            + head.att_dense.bias[k]
-            for k in range(n_classes)
-        ]
-        cls = [
-            sum(h[t, i] * head.cls_dense.weight[i, k] for i in range(h.shape[1]))
-            + head.cls_dense.bias[k]
-            for k in range(n_classes)
-        ]
-        top = max(att)
-        exp_att = [math.exp(a - top) for a in att]
-        total = sum(exp_att)
-        for k in range(n_classes):
-            v[t, k] = exp_att[k] / total
-            f[t, k] = 1.0 / (1.0 + math.exp(-cls[k]))
-    y = np.zeros(n_classes)
-    weights = np.zeros((n_frames, n_classes))
-    for k in range(n_classes):
-        denom = sum(v[t, k] for t in range(n_frames))
-        for t in range(n_frames):
-            weights[t, k] = v[t, k] / denom
-            y[k] += weights[t, k] * f[t, k]
-    return y, weights
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -23,7 +23,7 @@ from wlat.model import (
     predict_scores,
     save_weights,
 )
-from wlat.train import TrainConfig, fit
+from wlat.train import TrainConfig
 
 
 def run_cli(*argv):
@@ -148,8 +148,10 @@ def test_gen_data_valid_flags_must_pair(tmp_path):
     ((*GEN_FLAGS, "--truth-out", "x.wlad"), 2, "--out and --truth-out name the same file"),
     ((*GEN_FLAGS, "--valid-samples", 2, "--valid-out", "./x.wlad"), 2,
      "--out and --valid-out name the same file"),
+    ((*GEN_FLAGS, "--truth-out", ""), 2, "--truth-out is an empty path"),
+    ((*GEN_FLAGS, "--out", ""), 2, "--out is an empty path"),
 ], ids=["u16-class-limit", "missing-directory", "directory-output", "same-file",
-        "same-file-spelled-twice"])
+        "same-file-spelled-twice", "empty-truth-out", "empty-out"])
 def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, capsys,
                                                      flags, code, message):
     def never(cfg):
@@ -159,7 +161,7 @@ def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     (tmp_path / "x.wlad").write_bytes(b"keep me")
     (tmp_path / "adir").mkdir()
-    assert run_cli("gen-data", *flags, "--out", "x.wlad") == code
+    assert run_cli("gen-data", "--out", "x.wlad", *flags) == code
     assert message in capsys.readouterr().err
     assert (tmp_path / "x.wlad").read_bytes() == b"keep me"
 
@@ -356,6 +358,35 @@ def test_train_makes_no_output_directory_when_a_dataset_fails(tiny_dataset, tmp_
     assert not fresh.exists()
 
 
+@pytest.mark.parametrize("case,message", [
+    ("bad-arch", "position 2"),
+    ("empty-valid", "training and validation sets must be nonempty"),
+], ids=["bad-arch", "empty-valid"])
+def test_train_makes_no_output_directory_when_training_fails(tiny_dataset, tmp_path, capsys,
+                                                             case, message):
+    train, valid = tiny_dataset
+    arch = "2-B" if case == "bad-arch" else "1-A"
+    if case == "empty-valid":
+        train, valid = tmp_path / "full.wlad", tmp_path / "empty.wlad"
+        assert run_cli("gen-data", *GEN_FLAGS, "--out", train,
+                       "--valid-out", valid, "--valid-samples", 0) == 0
+    fresh = tmp_path / "fresh"
+    assert run_cli("train", "--arch", arch, "--train", train, "--valid", valid,
+                   "--out", fresh, "--batch-size", 8) == 1
+    assert message in capsys.readouterr().err
+    assert not fresh.exists()
+
+
+def test_train_empty_out_is_usage_error_before_reading(tiny_dataset, monkeypatch, capsys):
+    def never(path):
+        raise AssertionError("a dataset was read")
+
+    monkeypatch.setattr(cli, "_load_dataset", never)
+    train, valid = tiny_dataset
+    assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", valid, "--out", "") == 2
+    assert "output directory is an empty path" in capsys.readouterr().err
+
+
 def test_train_stops_at_non_finite_gradient(tiny_dataset, tmp_path, monkeypatch, capsys):
     real = train_module.backward
 
@@ -454,23 +485,16 @@ def test_train_stops_when_every_gradient_is_zero(tiny_dataset, tmp_path, capsys)
 
 
 @pytest.fixture(scope="module")
-def overfit_artifacts(tmp_path_factory):
+def overfit_artifacts(overfit_run, tmp_path_factory):
     """Dataset plus a checkpoint trained until it ranks that dataset perfectly."""
+    samples, result, checkpoint = overfit_run
+    assert result.best_map == 1.0
     root = tmp_path_factory.mktemp("overfit")
-    cfg = SynthConfig(n_samples=10)
-    samples, _ = generate_synthetic(cfg)
     data_path = root / "ten.wlad"
     with open(data_path, "wb") as handle:
-        write_dataset(samples, cfg.header(), handle)
-    spec = parse_arch("3-A", hidden_units=32, n_classes=cfg.n_classes)
-    model = build_model(spec, cfg.n_features, init_seed=0)
-    result = fit(model, samples, samples, TrainConfig(
-        arch="3-A", epochs=500, batch_size=10, lr=0.1, dropout=0.0, seed=0, eval_every=100,
-    ))
-    assert result.best_map == 1.0
+        write_dataset(samples, SynthConfig(n_samples=10).header(), handle)
     model_path = root / "model.wlam"
-    with open(model_path, "wb") as handle:
-        save_weights(model, handle)
+    model_path.write_bytes(checkpoint)
     return data_path, model_path, samples
 
 
@@ -617,18 +641,39 @@ def test_missing_out_directory_fails_before_scoring(overfit_artifacts, tmp_path,
     assert printed.out == ""
 
 
-@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("command,empty", [
+    ("evaluate", False), ("predict", False), ("evaluate", True), ("predict", True),
+], ids=["evaluate", "predict", "evaluate-empty", "predict-empty"])
 def test_out_path_that_is_a_directory_fails_before_scoring(overfit_artifacts, tmp_path,
-                                                           monkeypatch, capsys, command):
+                                                           monkeypatch, capsys, command, empty):
     data_path, model_path, _ = overfit_artifacts
 
     def never(model, features):
         raise AssertionError("predict_scores ran")
 
     monkeypatch.setattr(cli, "predict_scores", never)
-    assert run_cli(command, "--model", model_path, "--data", data_path, "--out", tmp_path) == 2
+    out, message = (("", "--out is an empty path") if empty
+                    else (tmp_path, "output path is a directory"))
+    assert run_cli(command, "--model", model_path, "--data", data_path, "--out", out) == 2
     printed = capsys.readouterr()
-    assert "output path is a directory" in printed.err
+    assert message in printed.err
+    assert printed.out == ""
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_dataset_without_clips_fails_before_reading_the_checkpoint(tmp_path, monkeypatch,
+                                                                   capsys, command):
+    def never(handle):
+        raise AssertionError("the checkpoint was read")
+
+    monkeypatch.setattr(cli, "load_weights", never)
+    empty = tmp_path / "empty.wlad"
+    assert run_cli("gen-data", *GEN_FLAGS, "--out", tmp_path / "full.wlad",
+                   "--valid-out", empty, "--valid-samples", 0) == 0
+    capsys.readouterr()
+    assert run_cli(command, "--model", tmp_path / "absent.wlam", "--data", empty) == 1
+    printed = capsys.readouterr()
+    assert f"--data {empty} holds no clips to score" in printed.err
     assert printed.out == ""
 
 

@@ -1,6 +1,5 @@
 """Ranking metrics against brute-force oracles and published value pairs."""
 
-import itertools
 import math
 
 import numpy as np
@@ -21,45 +20,7 @@ from wlat.metrics import (
 )
 from wlat.rng import gaussian, new_rng
 
-# Published (AUC, d-prime) operating points used to calibrate the conversion.
-AUC_DPRIME_PAIRS = [
-    (0.9590, 2.452),
-    (0.9650, 2.558),
-    (0.9693, 2.645),
-    (0.9700, 2.660),
-    (0.9668, 2.596),
-    (0.9695, 2.650),
-    (0.9690, 2.639),
-    (0.9571, 2.430),
-    (0.9687, 2.633),
-    (0.9676, 2.612),
-    (0.9388, 2.185),
-]
-
-
-def oracle_average_precision(scores, positive_mask):
-    """Walk the stable descending order and average precision at each hit."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    hits = 0
-    precisions = []
-    for rank, i in enumerate(order, start=1):
-        if positive_mask[i]:
-            hits += 1
-            precisions.append(hits / rank)
-    return sum(precisions) / hits
-
-
-def oracle_auc(scores, positive_mask):
-    """Count concordant positive/negative pairs, half credit for ties."""
-    positives = [s for s, p in zip(scores, positive_mask) if p]
-    negatives = [s for s, p in zip(scores, positive_mask) if not p]
-    total = 0.0
-    for p, n in itertools.product(positives, negatives):
-        if p > n:
-            total += 1.0
-        elif p == n:
-            total += 0.5
-    return total / (len(positives) * len(negatives))
+from oracles import AUC_DPRIME_PAIRS, oracle_auc, oracle_average_precision
 
 
 def oracle_normal_cdf(x):

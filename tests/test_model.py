@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlat import nn
 from wlat.model import (
     INFER_CHUNK_ROWS,
     PRESET_ARCHS,
@@ -20,14 +19,12 @@ from wlat.model import (
     build_model,
     forward_cached,
     load_weights,
-    model_grad_check,
     parse_arch,
     predict_scores,
     save_weights,
 )
 from wlat.nn import INFER, TRAIN
 from wlat.rng import gaussian, new_rng
-from wlat.train import bce_loss
 
 TOY = dict(hidden_units=5, n_classes=3)
 
@@ -254,15 +251,11 @@ class TestBackward:
         assert np.allclose(grads["out.bias"], expected, atol=1e-12)
 
     @pytest.mark.parametrize("arch", PRESET_ARCHS)
-    def test_finite_differences_all_presets(self, arch):
-        model = toy_model(arch)
-        features = gaussian(new_rng(12), (3, 2, 4))
-        targets = (gaussian(new_rng(13), (3, 3)) > 0.0).astype(float)
-        before = model.copy_state()
-        error = model_grad_check(model, features, lambda z: bce_loss(z, targets))
+    def test_finite_differences_all_presets(self, preset_grad_checks, arch):
+        checks, _ = preset_grad_checks
+        error, restored = checks[arch]
         assert error < 1e-4, f"{arch}: {error:.3e}"
-        state = model.state_params()
-        assert all(np.array_equal(state[name], arr) for name, arr in before.items())
+        assert restored
 
 
 class TestWeightFiles:

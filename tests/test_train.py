@@ -374,22 +374,9 @@ class TestFit:
         assert [len(b) for b in batches] == [10, 10, 1]
 
 
-@pytest.fixture(scope="module")
-def overfit_run():
-    """Drive a ten-sample batch to near-zero loss; reused by two tests."""
-    cfg = SynthConfig(n_samples=10)
-    samples, _ = generate_synthetic(cfg)
-    spec = parse_arch("3-A", hidden_units=32, n_classes=cfg.n_classes)
-    model = build_model(spec, cfg.n_features, init_seed=0)
-    train_cfg = TrainConfig(
-        arch="3-A", epochs=500, batch_size=10, lr=0.1, dropout=0.0, seed=0, eval_every=100
-    )
-    return model, samples, fit(model, samples, samples, train_cfg)
-
-
 class TestOverfit:
     def test_small_batch_reaches_near_zero_loss(self, overfit_run):
-        _, _, result = overfit_run
+        _, result, _ = overfit_run
         hits = [
             int(line.split("\t")[1])
             for line in result.log_lines
@@ -398,7 +385,8 @@ class TestOverfit:
         assert hits and hits[0] <= 500
 
     def test_early_stopping_fires_once_map_saturates(self, overfit_run):
-        model, samples, _ = overfit_run
+        samples, _, checkpoint = overfit_run
+        model = load_weights(io.BytesIO(checkpoint))
         cfg = TrainConfig(
             arch="3-A", epochs=10, batch_size=10, lr=0.0, dropout=0.0, seed=1,
             eval_every=1, patience=1,
