@@ -4,14 +4,17 @@ import os
 import sys
 
 
-def main() -> None:
-    """Run the CLI with BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` or
-    ``OMP_NUM_THREADS`` is set: BLAS sums in a thread-dependent order, so a run
-    replays bit for bit only at a fixed thread count.  The default must be set
-    before numpy loads, which importing :mod:`wlat.cli` does."""
+def default_blas_threads() -> None:
+    """Run BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is
+    set: BLAS sums in a thread-dependent order, so a run replays bit for bit only at a
+    fixed thread count.  It takes effect only if called before numpy loads."""
     if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
         os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
-    from .cli import run
+
+
+def main() -> None:
+    default_blas_threads()
+    from .cli import run  # the first import of numpy
 
     sys.exit(run(sys.argv[1:]))
 

@@ -74,12 +74,11 @@ def backward_batch(
     frame_probs: np.ndarray,
     denom: np.ndarray,
     grad_y: np.ndarray,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, ...]:
     """Exact gradients through the pooling, normalization, sigmoid and softmax.
 
     ``weights``, ``frame_probs`` and ``denom`` are the cached forward
-    results.  Returns (grad_h, head_grads) with head_grads keyed
-    ``att.weight``, ``att.bias``, ``cls.weight``, ``cls.bias``.
+    results.  Returns (grad_h, att weight, att bias, cls weight, cls bias).
     """
     if grad_y.shape != (h.shape[0], head.n_classes):
         raise ValueError(f"grad shape {grad_y.shape} != {(h.shape[0], head.n_classes)}")
@@ -99,5 +98,5 @@ def backward_batch(
     cls_x, cls_w, cls_b = dense_backward(rows, head.cls_dense, grad_cls_logits.reshape(-1, k))
     att_x += cls_x
     grad_h = att_x.reshape(h.shape)
-    return grad_h, {"att.weight": att_w, "att.bias": att_b, "cls.weight": cls_w, "cls.bias": cls_b}
+    return grad_h, att_w, att_b, cls_w, cls_b
 

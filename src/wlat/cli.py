@@ -258,7 +258,10 @@ def _score_dataset(args: argparse.Namespace):
     if not samples:
         raise ValueError(f"--data {args.data} holds no clips to score")
     with open(args.model, "rb") as handle:
-        model = load_weights(handle)
+        try:
+            model = load_weights(handle)
+        except WeightFormatError as err:
+            raise WeightFormatError(f"--model {args.model}: {err}") from None
     spec = model.spec
     claimed = spec
     if args.arch is not None:

@@ -42,6 +42,7 @@ _HEADER_STRUCT = struct.Struct("<4s5I")
 
 # Labels are stored as u16, so class indices stop at MAX_CLASSES - 1.
 MAX_CLASSES = 0x10000
+MAX_U32 = 0xFFFFFFFF  # frame, feature and sample counts are u32 header fields
 
 # generate_synthetic transforms the noise uniforms of about this many bytes of
 # clips at once; its temporaries stay a few blocks, never the whole set twice.
@@ -67,8 +68,9 @@ class DatasetHeader:
             )
         if self.n_classes > MAX_CLASSES:
             raise DatasetFormatError(f"n_classes {self.n_classes} exceeds u16 labels ({MAX_CLASSES})")
-        if self.n_samples < 0:
-            raise DatasetFormatError(f"negative sample count {self.n_samples}")
+        for name in ("n_frames", "n_features", "n_samples"):
+            if not 0 <= getattr(self, name) <= MAX_U32:
+                raise DatasetFormatError(f"{name} {getattr(self, name)} outside u32 [0, {MAX_U32}]")
 
 
 @dataclass(frozen=True)

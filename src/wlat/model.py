@@ -11,18 +11,15 @@ weight file stores, so a loaded checkpoint is the whole model.
 
 Weight file format (all little-endian): magic ``WLAM``, version u32,
 n_blocks u32, block depths (u32 each), hidden_units u32, n_classes u32,
-input_dim u32, then every state array as raw float64 in the fixed traversal
-order of :meth:`MultiLevelModel.state_params` (per block, per layer: dense
-weight, dense bias, gamma, beta, running mean, running var; per head:
-attention weight/bias, classifier weight/bias; then output weight, output
-bias).  The header alone determines the architecture and every array shape.
+input_dim u32, then every state array as raw finite float64, in the order of
+:meth:`MultiLevelModel.state_params`, which alone names and orders the
+arrays.  The header alone determines the architecture and every array shape.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import partial
 from typing import BinaryIO, Callable
 
 import numpy as np
@@ -154,36 +151,36 @@ class MultiLevelModel:
             arr[...] = state[name]
 
 
-def _assemble(
-    spec: ArchSpec,
-    input_dim: int,
-    dense: Callable[[int, int], DenseLayer],
-) -> MultiLevelModel:
-    """The model's structure; ``dense(n_in, n_out)`` makes each dense layer in traversal order."""
+def _assemble(spec: ArchSpec, input_dim: int) -> MultiLevelModel:
+    """The model's structure: zero dense arrays and fresh batch-norm states."""
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
     h, k = spec.hidden_units, spec.n_classes
-    blocks = []
-    width_in = input_dim
-    for depth in spec.block_depths:
-        block = []
-        for _ in range(depth):
-            block.append(LayerStack(dense(width_in, h), BatchNormState.init(h)))
-            width_in = h
-        blocks.append(block)
+
+    def dense(n_in: int, n_out: int) -> DenseLayer:
+        return DenseLayer(np.zeros((n_in, n_out)), np.zeros(n_out))
+
+    blocks = [
+        [LayerStack(dense(input_dim if (b, j) == (0, 0) else h, h), BatchNormState.init(h))
+         for j in range(depth)]
+        for b, depth in enumerate(spec.block_depths)
+    ]
     heads = [AttentionHead(dense(h, k), dense(h, k)) for _ in spec.block_depths]
-    out = dense(k * spec.n_levels, k)
-    return MultiLevelModel(spec, input_dim, blocks, heads, out)
+    return MultiLevelModel(spec, input_dim, blocks, heads, dense(k * spec.n_levels, k))
 
 
 def build_model(spec: ArchSpec, input_dim: int, init_seed: int) -> MultiLevelModel:
     """Deterministically initialize a model: Glorot-uniform weights, zero biases.
 
-    Draws come from one PCG64 stream seeded by ``init_seed``, consumed in
-    traversal order, so identical (spec, input_dim, seed) give bitwise-
-    identical parameters.
+    Each ``*.weight`` array of :meth:`MultiLevelModel.trainable_params` is
+    drawn in place, in that order, from one PCG64 stream seeded by ``init_seed``.
     """
-    return _assemble(spec, input_dim, partial(DenseLayer.init, new_rng(init_seed)))
+    model = _assemble(spec, input_dim)
+    rng = new_rng(init_seed)
+    for name, arr in model.trainable_params().items():
+        if name.endswith(".weight"):
+            nn.glorot_uniform(rng, arr)
+    return model
 
 
 @dataclass(frozen=True)
@@ -285,22 +282,22 @@ def backward(
     if grad_z.shape != fwd.z.shape:
         raise ValueError(f"grad_z shape {grad_z.shape} != {fwd.z.shape}")
 
-    grads: dict[str, np.ndarray] = {}
     k = model.spec.n_classes
-
     grad_pre = grad_z * fwd.z * (1.0 - fwd.z)
-    grad_u, grads["out.weight"], grads["out.bias"] = nn.dense_backward(fwd.u, model.out, grad_pre)
+    grad_u, *out_grads = nn.dense_backward(fwd.u, model.out, grad_pre)
 
     # Levels feed only the concatenation, so walk blocks from deepest to
     # shallowest, merging each head's gradient with the one flowing down
-    # from the block above.
+    # from the block above.  Prepending each gradient as it is computed
+    # leaves the block and head lists in ``trainable_params`` order.
+    block_grads: list[np.ndarray] = []
+    head_grads: list[np.ndarray] = []
     grad_from_above: np.ndarray | None = None
     for l in range(model.spec.n_levels - 1, -1, -1):
         h, weights, frame_probs, denom = fwd.level_io[l]
         grad_y = grad_u[:, l * k : (l + 1) * k]
-        grad_h, head_grads = backward_batch(h, model.heads[l], weights, frame_probs, denom, grad_y)
-        for name, value in head_grads.items():
-            grads[f"head{l}.{name}"] = value
+        grad_h, *head = backward_batch(h, model.heads[l], weights, frame_probs, denom, grad_y)
+        head_grads[:0] = head
         grad_x = grad_h.reshape(-1, grad_h.shape[2])
         if grad_from_above is not None:
             grad_x += grad_from_above
@@ -318,13 +315,10 @@ def backward(
                 dense_out, mean, var, layer.bn, grad_x
             )
             grad_x, grad_w, grad_b = nn.dense_backward(dense_in, layer.dense, grad_x)
-            prefix = f"block{l}.layer{j}"
-            grads[f"{prefix}.weight"] = grad_w
-            grads[f"{prefix}.bias"] = grad_b
-            grads[f"{prefix}.gamma"] = grad_gamma
-            grads[f"{prefix}.beta"] = grad_beta
+            block_grads[:0] = (grad_w, grad_b, grad_gamma, grad_beta)
         grad_from_above = grad_x
-    return grads
+    grads = [*block_grads, *head_grads, *out_grads]
+    return dict(zip(model.trainable_params(), grads, strict=True))
 
 
 def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
@@ -384,17 +378,13 @@ def _state_size(spec: ArchSpec, input_dim: int) -> int:
     return layers + spec.n_levels * 2 * (h * k + k) + spec.n_levels * k * k + k
 
 
-def _empty_dense(n_in: int, n_out: int) -> DenseLayer:
-    return DenseLayer(np.empty((n_in, n_out)), np.empty(n_out))
-
-
 def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelModel:
     """Rebuild a model from :func:`save_weights` bytes; the header is the architecture.
 
     A given ``spec`` is a cross-check: a file holding another architecture
     raises.  The byte count the header implies is checked before any model
     array is allocated, and the arrays are filled straight from the bytes
-    (no initializer runs).
+    (no initializer runs).  A NaN or infinite value is a format error.
     """
     blob = source.read()
     if blob[:4] != WEIGHTS_MAGIC:
@@ -422,9 +412,11 @@ def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelMo
         raise WeightFormatError(f"truncated weight stream: {stored} needs {size} parameter bytes")
     if len(blob) - offset > size:
         raise WeightFormatError("trailing bytes after final parameter array")
-    model = _assemble(stored, input_dim, _empty_dense)
+    model = _assemble(stored, input_dim)
     values = np.frombuffer(blob, dtype="<f8", offset=offset)
-    for arr in model.state_params().values():
+    for name, arr in model.state_params().items():
         arr[...] = values[: arr.size].reshape(arr.shape)
         values = values[arr.size :]
+        if not np.isfinite(arr).all():
+            raise WeightFormatError(f"non-finite value in {name}")
     return model

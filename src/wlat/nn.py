@@ -34,20 +34,19 @@ GRAD_CHECK_STEP = 1e-5
 RELATIVE_ERROR_FLOOR = 1e-6
 
 
-def glorot_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
-    """Uniform init on +-sqrt(6 / (fan_in + fan_out))."""
-    limit = np.sqrt(6.0 / (n_in + n_out))
-    return limit * (2.0 * rng.random((n_in, n_out)) - 1.0)
+def glorot_uniform(rng: np.random.Generator, weight: np.ndarray) -> np.ndarray:
+    """Fill an (n_in, n_out) ``weight`` in place, uniform on +-sqrt(6 / (n_in + n_out))."""
+    rng.random(out=weight)
+    weight *= 2.0
+    weight -= 1.0
+    weight *= np.sqrt(6.0 / sum(weight.shape))
+    return weight
 
 
 @dataclass
 class DenseLayer:
     weight: np.ndarray  # (n_in, n_out)
     bias: np.ndarray  # (n_out,)
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, n_in: int, n_out: int) -> "DenseLayer":
-        return cls(glorot_uniform(rng, n_in, n_out), np.zeros(n_out))
 
     @property
     def n_in(self) -> int:

@@ -14,9 +14,11 @@ the same as drawing and transforming each row alone.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-__all__ = ["new_rng", "box_muller", "gaussian", "spawn_seeds"]
+__all__ = ["new_rng", "box_muller", "gaussian", "seed_stream"]
 
 
 def new_rng(seed: int) -> np.random.Generator:
@@ -54,12 +56,12 @@ def gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return box_muller(rng.random(2 * ((n + 1) // 2)))[:n].reshape(shape)
 
 
-def spawn_seeds(seed: int, count: int) -> list[int]:
-    """Derive ``count`` independent child seeds from one master seed.
+def seed_stream(seed: int) -> Iterator[int]:
+    """Independent child seeds of one master seed, each spawned as it is taken.
 
-    Uses SeedSequence spawning, so the children do not alias the words
-    ``PCG64(seed)`` itself consumes and streams stay independent even when
-    a child seed is fed back into :func:`new_rng`.
+    SeedSequence children do not alias the words ``PCG64(seed)`` consumes, so
+    a child seed fed back into :func:`new_rng` starts an independent stream.
     """
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
+    parent = np.random.SeedSequence(seed)
+    while True:
+        yield int(parent.spawn(1)[0].generate_state(1, dtype=np.uint64)[0])

@@ -2,9 +2,9 @@
 
 A run is a pure function of (seed, data, config) for a fixed numpy/BLAS build
 and BLAS thread count (BLAS splits its sums by thread): the master seed spawns
-one stream for dropout masks and one seed per epoch for batch shuffling,
-so evaluation cadence never perturbs the draws.  The best-by-validation-mAP
-parameter snapshot is restored into the model when fit returns.
+one stream for dropout masks and a shuffle seed, which spawns one seed as each
+epoch starts, so evaluation cadence never perturbs the draws.  The best-by-
+validation-mAP parameter snapshot is restored into the model when fit returns.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .data import Sample, stack_features, stack_targets
 from .metrics import evaluate, exclusion_reasons
 from .model import MultiLevelModel, backward, forward_cached, parse_arch, predict_scores
 from .nn import TRAIN
-from .rng import new_rng, spawn_seeds
+from .rng import new_rng, seed_stream
 
 # Probabilities are clamped to [BCE_EPSILON, 1 - BCE_EPSILON] inside the
 # loss; gradients vanish where the clamp is active.
@@ -169,9 +169,9 @@ def fit(
         raise ValueError(f"n_train={n_train} with batch_size={cfg.batch_size} leaves a lone "
                          "one-frame clip, and train-mode batch norm needs >= 2 rows")
 
-    dropout_seed, shuffle_seed = spawn_seeds(cfg.seed, 2)
-    dropout_rng = new_rng(dropout_seed)
-    epoch_seeds = spawn_seeds(shuffle_seed, cfg.epochs)
+    run_seeds = seed_stream(cfg.seed)
+    dropout_rng = new_rng(next(run_seeds))
+    epoch_seeds = seed_stream(next(run_seeds))
 
     params = model.trainable_params()
     adam = AdamState.init(params, lr=cfg.lr)
@@ -184,7 +184,7 @@ def fit(
     stopped_early = False
 
     for epoch in range(1, cfg.epochs + 1):
-        order = new_rng(epoch_seeds[epoch - 1]).permutation(n_train)
+        order = new_rng(next(epoch_seeds)).permutation(n_train)
         loss_sum = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]

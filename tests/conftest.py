@@ -1,19 +1,20 @@
-"""Fixtures shared by several test modules, and one BLAS thread for the whole suite.
+"""Fixtures shared by several test modules, and the ``wlat`` command's BLAS default.
 
-BLAS sums in an order that depends on its thread count, so the pin below keeps
-the suite's figures the same whatever the machine's core count.  It must take
-effect before numpy loads, hence before any other import here.
+BLAS sums in an order that depends on its thread count, so the suite runs on
+the thread count ``wlat`` itself defaults to, and its figures stay the same
+whatever the machine's core count.  The default must take effect before numpy
+loads, hence before any other import here.
 """
 
 import io
-import os
 import sys
 import time
 
 if "numpy" in sys.modules:
     raise RuntimeError("numpy was imported before tests/conftest.py could pin BLAS to one thread")
-if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
-    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+from wlat.__main__ import default_blas_threads
+
+default_blas_threads()
 
 import numpy as np
 import pytest

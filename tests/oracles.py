@@ -33,12 +33,10 @@ AUC_DPRIME_PAIRS = [
 
 def random_head(rng, width, n_classes):
     """A head with Glorot weights and Gaussian biases, drawn in that order."""
-    head = AttentionHead(
-        nn.DenseLayer.init(rng, width, n_classes), nn.DenseLayer.init(rng, width, n_classes)
-    )
-    head.att_dense.bias[:] = gaussian(rng, n_classes)
-    head.cls_dense.bias[:] = gaussian(rng, n_classes)
-    return head
+    att_weight = nn.glorot_uniform(rng, np.empty((width, n_classes)))
+    cls_weight = nn.glorot_uniform(rng, np.empty((width, n_classes)))
+    return AttentionHead(nn.DenseLayer(att_weight, gaussian(rng, n_classes)),
+                         nn.DenseLayer(cls_weight, gaussian(rng, n_classes)))
 
 
 def pool_clip(h, head):

@@ -13,10 +13,11 @@ from oracles import naive_attention, pool_clip, random_head
 
 
 def pool_clip_backward(h, head, grad_y):
-    """Gradients for one clip; recomputes its forward pass."""
+    """Gradients for one clip, as (grad_h, att weight, att bias, cls weight, cls bias);
+    recomputes its forward pass."""
     _, weights, frame_probs, denom = forward_batch(h[None], head)
-    grad_h, grads = backward_batch(h[None], head, weights, frame_probs, denom, grad_y[None])
-    return grad_h[0], grads
+    grad_h, *grads = backward_batch(h[None], head, weights, frame_probs, denom, grad_y[None])
+    return grad_h[0], *grads
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -98,9 +99,8 @@ def test_backward_zero_grad_gives_zero():
     rng = new_rng(1)
     head = random_head(rng, 5, 3)
     h = gaussian(rng, (6, 5))
-    grad_h, grads = pool_clip_backward(h, head, np.zeros(3))
-    assert not grad_h.any()
-    assert all(not g.any() for g in grads.values())
+    grads = pool_clip_backward(h, head, np.zeros(3))
+    assert all(not g.any() for g in grads)
 
 
 def test_single_frame_gradient_skips_attention_path():
@@ -108,10 +108,10 @@ def test_single_frame_gradient_skips_attention_path():
     head = random_head(rng, 5, 3)
     h = gaussian(rng, (1, 5))
     grad_y = gaussian(rng, 3)
-    _, grads = pool_clip_backward(h, head, grad_y)
-    assert np.max(np.abs(grads["att.weight"])) < 1e-15
-    assert np.max(np.abs(grads["att.bias"])) < 1e-15
-    assert grads["cls.weight"].any()
+    _, att_weight, att_bias, cls_weight, _ = pool_clip_backward(h, head, grad_y)
+    assert np.max(np.abs(att_weight)) < 1e-15
+    assert np.max(np.abs(att_bias)) < 1e-15
+    assert cls_weight.any()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -124,16 +124,10 @@ def test_backward_finite_differences(seed):
     def loss():
         return float(pool_clip(h, head)[0] @ direction)
 
-    grad_h, grads = pool_clip_backward(h, head, direction)
-    params = {
-        "h": h,
-        "att.weight": head.att_dense.weight,
-        "att.bias": head.att_dense.bias,
-        "cls.weight": head.cls_dense.weight,
-        "cls.bias": head.cls_dense.bias,
-    }
-    analytic = dict(grads, h=grad_h)
-    assert nn.grad_check(loss, params, analytic) < 1e-5
+    params = (h, head.att_dense.weight, head.att_dense.bias, head.cls_dense.weight,
+              head.cls_dense.bias)
+    analytic = pool_clip_backward(h, head, direction)
+    assert nn.grad_check(loss, dict(enumerate(params)), dict(enumerate(analytic))) < 1e-5
 
 
 def test_batched_backward_matches_per_clip():
@@ -142,12 +136,12 @@ def test_batched_backward_matches_per_clip():
     h = gaussian(rng, (3, 5, 4))
     grad_y = gaussian(rng, (3, 3))
     y, weights, frame_probs, denom = forward_batch(h, head)
-    grad_h, grads = backward_batch(h, head, weights, frame_probs, denom, grad_y)
-    summed = {name: np.zeros_like(g) for name, g in grads.items()}
+    grad_h, *grads = backward_batch(h, head, weights, frame_probs, denom, grad_y)
+    summed = [np.zeros_like(g) for g in grads]
     for i in range(3):
-        clip_grad_h, clip_grads = pool_clip_backward(h[i], head, grad_y[i])
+        clip_grad_h, *clip_grads = pool_clip_backward(h[i], head, grad_y[i])
         assert np.allclose(grad_h[i], clip_grad_h, atol=1e-12)
-        for name in summed:
-            summed[name] += clip_grads[name]
-    for name in summed:
-        assert np.allclose(grads[name], summed[name], atol=1e-12)
+        for total, g in zip(summed, clip_grads):
+            total += g
+    for g, total in zip(grads, summed):
+        assert np.allclose(g, total, atol=1e-12)

@@ -62,11 +62,12 @@ def test_python_m_wlat_runs_the_cli():
 
 
 def test_importing_wlat_runs_nothing_and_leaves_blas_alone():
-    code = "import os, wlat, wlat.__main__; print([os.environ.get(v) for v in %r])"
+    code = ("import os, sys, wlat, wlat.__main__; "
+            "print([os.environ.get(v) for v in %r], 'numpy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code % (BLAS_THREAD_VARS,)],
                           capture_output=True, text=True, env=python_env(), timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[None, None]\n"
+    assert done.stdout == "[None, None] False\n"
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="BLAS runs one thread on one CPU")
@@ -143,6 +144,7 @@ def test_gen_data_valid_flags_must_pair(tmp_path):
 @pytest.mark.parametrize("flags,code,message", [
     (("--n-classes", 70000, "--n-samples", 20, "--n-frames", 3, "--n-features", 4),
      1, "n_classes 70000 exceeds u16 labels"),
+    (("--n-samples", 2**32), 1, "n_samples 4294967296 outside u32 [0, 4294967295]"),
     ((*GEN_FLAGS, "--truth-out", "missing/x.truth"), 2, "output directory does not exist"),
     ((*GEN_FLAGS, "--truth-out", "adir"), 2, "output path is a directory: adir"),
     ((*GEN_FLAGS, "--truth-out", "x.wlad"), 2, "--out and --truth-out name the same file"),
@@ -150,8 +152,8 @@ def test_gen_data_valid_flags_must_pair(tmp_path):
      "--out and --valid-out name the same file"),
     ((*GEN_FLAGS, "--truth-out", ""), 2, "--truth-out is an empty path"),
     ((*GEN_FLAGS, "--out", ""), 2, "--out is an empty path"),
-], ids=["u16-class-limit", "missing-directory", "directory-output", "same-file",
-        "same-file-spelled-twice", "empty-truth-out", "empty-out"])
+], ids=["u16-class-limit", "u32-sample-limit", "missing-directory", "directory-output",
+        "same-file", "same-file-spelled-twice", "empty-truth-out", "empty-out"])
 def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, capsys,
                                                      flags, code, message):
     def never(cfg):
@@ -609,6 +611,27 @@ def test_wrong_arch_flags_name_both_specs(wide_checkpoint, capsys, flags):
     err = capsys.readouterr().err
     assert "hidden_units=64" in err
     assert "block_depths=(3,)" in err or "hidden_units=600" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_non_finite_checkpoint_fails_before_scoring(wide_checkpoint, tmp_path, monkeypatch,
+                                                    capsys, command):
+    data_path, model_path = wide_checkpoint
+    with open(model_path, "rb") as handle:
+        model = load_weights(handle)
+    model.out.bias[1] = np.nan
+    poisoned = tmp_path / "nan.wlam"
+    with open(poisoned, "wb") as handle:
+        save_weights(model, handle)
+
+    def never(model, features):
+        raise AssertionError("predict_scores ran")
+
+    monkeypatch.setattr(cli, "predict_scores", never)
+    assert run_cli(command, "--model", poisoned, "--data", data_path) == 1
+    printed = capsys.readouterr()
+    assert f"--model {poisoned}: non-finite value in out.bias" in printed.err
+    assert printed.out == ""
 
 
 @pytest.mark.parametrize("field, value", [("--n-classes", 4), ("--n-features", 7)])

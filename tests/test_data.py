@@ -469,6 +469,14 @@ def test_class_count_limited_to_u16_labels():
         SynthConfig(n_classes=70000)
 
 
+@pytest.mark.parametrize("field", ["n_frames", "n_features", "n_samples"])
+def test_counts_limited_to_u32_header_fields(field):
+    dims = dict(n_frames=2, n_features=3, n_classes=4, n_samples=0)
+    DatasetHeader(**dict(dims, **{field: 2**32 - 1}))
+    with pytest.raises(DatasetFormatError, match=rf"{field} 4294967296 outside u32 \[0, 4294967295\]"):
+        DatasetHeader(**dict(dims, **{field: 2**32}))
+
+
 def test_multi_hot_and_stacks():
     _, samples, _ = small_dataset(n_samples=4)
     feats = stack_features(samples)

@@ -103,7 +103,7 @@ def oracle_backward_batch(h, head, weights, frame_probs, denom, grad_y):
     att_x, att_w, att_b = oracle_dense_backward(rows, head.att_dense, grad_att_logits.reshape(-1, k))
     cls_x, cls_w, cls_b = oracle_dense_backward(rows, head.cls_dense, grad_cls_logits.reshape(-1, k))
     grad_h = (att_x + cls_x).reshape(h.shape)
-    return grad_h, {"att.weight": att_w, "att.bias": att_b, "cls.weight": cls_w, "cls.bias": cls_b}
+    return grad_h, att_w, att_b, cls_w, cls_b
 
 
 def oracle_forward_batch(h, head):
@@ -296,10 +296,9 @@ def test_attention_backward_batch_matches_oracle(kind):
     params = (head.att_dense.weight, head.att_dense.bias, head.cls_dense.weight, head.cls_dense.bias)
     cached = (h, weights, frame_probs, denom, grad_y, *params)
     before = snapshot(*cached)
-    grad_h, grads = backward_batch(h, head, weights, frame_probs, denom, grad_y)
-    expected_h, expected = oracle_backward_batch(h, head, weights, frame_probs, denom, grad_y)
-    assert_bitwise(grad_h, expected_h)
-    assert grads.keys() == expected.keys()
-    for name in grads:
-        assert_bitwise(grads[name], expected[name])
+    grads = backward_batch(h, head, weights, frame_probs, denom, grad_y)
+    expected = oracle_backward_batch(h, head, weights, frame_probs, denom, grad_y)
+    assert len(grads) == len(expected) == 5
+    for grad, oracle in zip(grads, expected):
+        assert_bitwise(grad, oracle)
     assert snapshot(*cached) == before

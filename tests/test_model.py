@@ -233,6 +233,15 @@ class TestBackward:
         with pytest.raises(ValueError, match="train-mode forward"):
             backward(model, fwd, np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("arch", PRESET_ARCHS)
+    def test_gradients_come_in_parameter_order(self, arch):
+        model = toy_model(arch)
+        fwd = forward_cached(model, gaussian(new_rng(9), (4, 6, 4)), TRAIN)
+        grads = backward(model, fwd, gaussian(new_rng(10), (4, 3)))
+        params = model.trainable_params()
+        assert list(grads) == list(params)
+        assert [g.shape for g in grads.values()] == [p.shape for p in params.values()]
+
     def test_zero_grad_gives_zero_everywhere(self):
         model = toy_model()
         features = gaussian(new_rng(9), (4, 6, 4))
@@ -327,6 +336,17 @@ class TestWeightFiles:
         assert save_weights(model, buffer) == 1936
         digest = hashlib.sha256(buffer.getvalue()).hexdigest()
         assert digest == "f47bf36ea6b0da62bc09ecc935e431a6325cf0b005776e2bdb90999705083f33"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_naming_its_array(self, value):
+        model = toy_model(seed=30)
+        model.state_params()["block1.layer0.running_var"][2] = value
+        buffer = io.BytesIO()
+        save_weights(model, buffer)
+        buffer.seek(0)
+        with pytest.raises(WeightFormatError) as info:
+            load_weights(buffer)
+        assert str(info.value) == "non-finite value in block1.layer0.running_var"
 
     # A loader that allocated before checking sizes would peak near 2 MB at
     # 300 units, so the bound catches it without risking a huge allocation.

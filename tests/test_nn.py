@@ -26,9 +26,7 @@ def naive_matmul(x, w, b):
 
 
 def random_dense(rng, n_in, n_out):
-    layer = nn.DenseLayer.init(rng, n_in, n_out)
-    layer.bias[:] = gaussian(rng, n_out)
-    return layer
+    return nn.DenseLayer(nn.glorot_uniform(rng, np.empty((n_in, n_out))), gaussian(rng, n_out))
 
 
 def test_dense_identity():

@@ -1,9 +1,11 @@
-"""The documented Gaussian draw: Box-Muller on PCG64 uniform doubles."""
+"""The documented Gaussian draw: Box-Muller on PCG64 uniform doubles, and seed spawning."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from wlat.rng import box_muller, gaussian, new_rng
+from wlat.rng import box_muller, gaussian, new_rng, seed_stream
 
 
 def two_call_box_muller(rng, n):
@@ -29,3 +31,10 @@ def test_box_muller_block_equals_each_row_alone(row_words):
     uniforms = new_rng(row_words).random((37, row_words))
     rows = [box_muller(row.copy()) for row in uniforms]
     assert np.array_equal(box_muller(uniforms), np.stack(rows))
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+def test_seed_stream_is_one_eager_spawn(seed):
+    children = np.random.SeedSequence(seed).spawn(300)
+    eager = [int(child.generate_state(1, dtype=np.uint64)[0]) for child in children]
+    assert list(itertools.islice(seed_stream(seed), 300)) == eager

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,28 @@ class TestFit:
         assert orders[0] == orders[1]
         assert orders[0] != orders[2]
         assert orders[0][:20] != orders[0][20:]
+
+    def test_epoch_count_costs_nothing_before_the_first_step(self, monkeypatch):
+        # Each epoch's shuffle seed is spawned as that epoch starts, so what
+        # fit allocates before its first step does not grow with cfg.epochs.
+        class FirstStep(Exception):
+            pass
+
+        def first_step(*args, **kwargs):
+            raise FirstStep
+
+        _, train, valid = small_split()
+        model = small_model()
+        monkeypatch.setattr(train_module, "forward_cached", first_step)
+        cfg = TrainConfig(arch="1-A", epochs=10**5, batch_size=8, seed=9, patience=5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstStep):
+                fit(model, train, valid, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_unscorable_validation_set_rejected_before_training(self, record_batches):
         _, train, valid = small_split()
