@@ -124,12 +124,10 @@ def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Nam
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
-    with open(args.config, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
+    config = _read(args, "config", json.load)
     if not isinstance(config, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")
-    unknown = set(config) - set(args.flags)
-    if unknown:
+    if unknown := set(config) - set(args.flags):
         raise UsageError(f"config file {args.config}: unknown keys {sorted(unknown)}")
     # non-strings keep their JSON spelling, so null, true or 2.5 meet the flag's type check
     entries = [f"{args.flags[key]}={value if isinstance(value, str) else json.dumps(value)}"
@@ -138,9 +136,27 @@ def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Nam
     return parser.parse_args([*argv[:at], *entries, *argv[at:]])
 
 
+def _read(args: argparse.Namespace, name: str, reader: Callable):
+    """Apply ``reader`` to flag ``name``'s file; failures read ``<flag> <path>: <reason>``."""
+    path = getattr(args, name)
+    try:
+        with open(path, "rb") as handle:
+            return reader(handle)
+    except (ValueError, OSError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ValueError(f"{args.flags.get(name, '--config')} {path}: {reason}") from None
+
+
+def _check_dataset(args: argparse.Namespace, name: str, header, model) -> None:
+    """A dataset must carry its model's n_features and n_classes; attention pools any frames."""
+    if (header.n_features, header.n_classes) != (model.input_dim, model.spec.n_classes):
+        raise ValueError(f"{args.flags[name]} {getattr(args, name)} and the model disagree: dataset"
+                         f" has n_classes={header.n_classes} n_features={header.n_features}, model"
+                         f" has n_classes={model.spec.n_classes} input_dim={model.input_dim}")
+
+
 def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [args.flags[name] for name in names if getattr(args, name) is None]
-    if missing:
+    if missing := [args.flags[name] for name in names if getattr(args, name) is None]:
         raise UsageError(f"missing required flags: {', '.join(missing)}")
 
 
@@ -212,29 +228,20 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_dataset(path: str):
-    with open(path, "rb") as handle:
-        return read_dataset(handle)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     _require(args, "arch", "train_path", "valid_path", "out")
     cfg = _config(TrainConfig, args)
+    if args.init_seed < 0:
+        raise ValueError(f"--init-seed must be >= 0, got {args.init_seed}")
     weights_path, log_path = (os.path.join(args.out, f) for f in ("model.wlam", "train_log.tsv"))
     _check_files(args, ("train_path", "valid_path"), (("out", weights_path), ("out", log_path)),
                  args.out)
 
-    train_header, train_samples = _load_dataset(args.train_path)
-    valid_header, valid_samples = _load_dataset(args.valid_path)
-    for dim in ("n_frames", "n_features", "n_classes"):
-        if getattr(train_header, dim) != getattr(valid_header, dim):
-            raise ValueError(
-                f"train/valid disagree on {dim}: "
-                f"{getattr(train_header, dim)} != {getattr(valid_header, dim)}"
-            )
-
+    train_header, train_samples = _read(args, "train_path", read_dataset)
+    valid_header, valid_samples = _read(args, "valid_path", read_dataset)
     spec = parse_arch(cfg.arch, args.hidden_units, train_header.n_classes)
     model = build_model(spec, train_header.n_features, args.init_seed)
+    _check_dataset(args, "valid_path", valid_header, model)
     result = fit(model, train_samples, valid_samples, cfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -254,27 +261,18 @@ def _score_dataset(args: argparse.Namespace):
     """Score a dataset with a checkpoint whose header must agree with any given flags."""
     _require(args, "model", "data")
     _check_files(args, ("model", "data"), [("out", args.out)] if args.out is not None else ())
-    header, samples = _load_dataset(args.data)
+    header, samples = _read(args, "data", read_dataset)
     if not samples:
         raise ValueError(f"--data {args.data} holds no clips to score")
-    with open(args.model, "rb") as handle:
-        try:
-            model = load_weights(handle)
-        except WeightFormatError as err:
-            raise WeightFormatError(f"--model {args.model}: {err}") from None
-    spec = model.spec
-    claimed = spec
+    model = _read(args, "model", load_weights)
+    claimed = spec = model.spec
     if args.arch is not None:
         claimed = parse_arch(args.arch, spec.hidden_units, spec.n_classes)
     if args.hidden_units is not None:
         claimed = replace(claimed, hidden_units=args.hidden_units)
     if claimed != spec:
         raise WeightFormatError(f"weight file holds {spec}, expected {claimed}")
-    if (spec.n_classes, model.input_dim) != (header.n_classes, header.n_features):
-        raise ValueError(
-            f"model has n_classes={spec.n_classes} input_dim={model.input_dim}, dataset has"
-            f" n_classes={header.n_classes} n_features={header.n_features}"
-        )
+    _check_dataset(args, "data", header, model)
     return header, samples, predict_scores(model, stack_features(samples))
 
 
@@ -308,6 +306,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     _require(args, "arch")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     try:
         n_frames, n_features, hidden, n_classes = (int(part) for part in args.toy_dims.split(","))
     except ValueError as err:
@@ -340,7 +340,7 @@ def run(argv: Sequence[str]) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 

@@ -216,6 +216,8 @@ class SynthConfig:
             raise ValueError(f"signal_scale must be finite and > 0, got {self.signal_scale}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def header(self) -> DatasetHeader:
         return DatasetHeader(self.n_frames, self.n_features, self.n_classes, self.n_samples)
@@ -312,5 +314,7 @@ def stack_targets(samples: Sequence[Sample], n_classes: int) -> np.ndarray:
     """Stack clip labels into an (n_samples, n_classes) 0/1 matrix of present classes."""
     out = np.zeros((len(samples), n_classes), dtype=np.float64)
     for row, sample in zip(out, samples):
+        if sample.labels and not 0 <= min(sample.labels) <= max(sample.labels) < n_classes:
+            raise DatasetFormatError(f"sample {sample.id!r}: label outside [0, {n_classes})")
         row[list(sample.labels)] = 1.0
     return out

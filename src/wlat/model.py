@@ -384,7 +384,8 @@ def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelMo
     A given ``spec`` is a cross-check: a file holding another architecture
     raises.  The byte count the header implies is checked before any model
     array is allocated, and the arrays are filled straight from the bytes
-    (no initializer runs).  A NaN or infinite value is a format error.
+    (no initializer runs).  A NaN or infinite value, or a negative running
+    variance, is a format error.
     """
     blob = source.read()
     if blob[:4] != WEIGHTS_MAGIC:
@@ -419,4 +420,6 @@ def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelMo
         values = values[arr.size :]
         if not np.isfinite(arr).all():
             raise WeightFormatError(f"non-finite value in {name}")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise WeightFormatError(f"negative batch-norm variance in {name}")
     return model

@@ -123,6 +123,8 @@ class TrainConfig:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -342,7 +342,7 @@ def test_train_out_under_a_file_is_usage_error_before_reading(
     def never(path):
         raise AssertionError("a dataset was read")
 
-    monkeypatch.setattr(cli, "_load_dataset", never)
+    monkeypatch.setattr(cli, "read_dataset", never)
     train, valid = tiny_dataset
     stored = valid.read_bytes()
     assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", valid,
@@ -383,7 +383,7 @@ def test_train_empty_out_is_usage_error_before_reading(tiny_dataset, monkeypatch
     def never(path):
         raise AssertionError("a dataset was read")
 
-    monkeypatch.setattr(cli, "_load_dataset", never)
+    monkeypatch.setattr(cli, "read_dataset", never)
     train, valid = tiny_dataset
     assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", valid, "--out", "") == 2
     assert "output directory is an empty path" in capsys.readouterr().err
@@ -732,6 +732,122 @@ def test_evaluate_missing_file_is_runtime_error(overfit_artifacts, capsys):
                    "--hidden-units", 32, "--data", "/nonexistent/nope.wlad")
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--train", "--valid", "--data", "--model"])
+@pytest.mark.parametrize("damage", ["missing", "garbage", "truncated"])
+def test_unreadable_input_is_one_error_line_naming_its_flag(tiny_dataset, wide_checkpoint,
+                                                            tmp_path, capsys, flag, damage):
+    train, valid = tiny_dataset
+    data, model = wide_checkpoint
+    config = tmp_path / "recipe.json"
+    config.write_text(json.dumps({"epochs": 1, "batch_size": 8}))
+    inputs = {"--config": config, "--train": train, "--valid": valid, "--data": data,
+              "--model": model}
+    bad = tmp_path / "bad"
+    if damage == "garbage":
+        bad.write_bytes(b"neither JSON nor a wlat file\n")
+    elif damage == "truncated":
+        whole = inputs[flag].read_bytes()
+        bad.write_bytes(whole[: len(whole) // 2])
+    inputs[flag] = bad
+    if flag in ("--data", "--model"):
+        argv = ["evaluate", "--model", inputs["--model"], "--data", inputs["--data"]]
+    else:
+        argv = ["train", "--config", inputs["--config"], "--arch", "1-A", "--hidden-units", 6,
+                "--train", inputs["--train"], "--valid", inputs["--valid"],
+                "--out", tmp_path / "run"]
+    assert run_cli(*argv) == 1
+    printed = capsys.readouterr()
+    assert printed.err.startswith(f"error: {flag} {bad}: ")
+    assert printed.err.count("\n") == 1
+    assert printed.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_and_valid_sets_may_differ_in_frame_count(tiny_dataset, tmp_path):
+    train, _ = tiny_dataset
+    six_frames = tmp_path / "six.wlad"
+    assert run_cli("gen-data", "--n-classes", 4, "--n-samples", 8, "--n-frames", 6,
+                   "--n-features", 6, "--out", six_frames) == 0
+    assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", six_frames,
+                   "--out", tmp_path / "run", "--epochs", 1, "--batch-size", 8,
+                   "--hidden-units", 6) == 0
+    assert (tmp_path / "run" / "model.wlam").exists()
+
+
+def test_train_rejects_a_valid_set_of_other_classes(tiny_dataset, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(cli, "fit", never)
+    train, _ = tiny_dataset
+    other = tmp_path / "other.wlad"
+    assert run_cli("gen-data", "--n-classes", 7, "--n-samples", 8, "--n-frames", 4,
+                   "--n-features", 6, "--out", other) == 0
+    capsys.readouterr()
+    assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", other,
+                   "--out", tmp_path / "run", "--hidden-units", 6) == 1
+    assert (f"error: --valid {other} and the model disagree: dataset has n_classes=7"
+            " n_features=6, model has n_classes=4 input_dim=6") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_negative_running_variance_fails_before_scoring(wide_checkpoint, tmp_path, monkeypatch,
+                                                        capsys, command):
+    data_path, model_path = wide_checkpoint
+    with open(model_path, "rb") as handle:
+        model = load_weights(handle)
+    model.state_params()["block0.layer0.running_var"][3] = -1.0
+    poisoned = tmp_path / "negative.wlam"
+    with open(poisoned, "wb") as handle:
+        save_weights(model, handle)
+
+    def never(model, features):
+        raise AssertionError("predict_scores ran")
+
+    monkeypatch.setattr(cli, "predict_scores", never)
+    assert run_cli(command, "--model", poisoned, "--data", data_path) == 1
+    printed = capsys.readouterr()
+    assert (f"--model {poisoned}: negative batch-norm variance in block0.layer0.running_var"
+            in printed.err)
+    assert printed.out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("gen-data", "--out", "x.wlad", "--seed", -1), "seed must be >= 0, got -1"),
+    (("train", "--seed", -1), "seed must be >= 0, got -1"),
+    (("train", "--init-seed", -1), "--init-seed must be >= 0, got -1"),
+    (("gradcheck", "--arch", "1-A", "--seed", -1), "--seed must be >= 0, got -1"),
+], ids=["gen-data-seed", "train-seed", "train-init-seed", "gradcheck-seed"])
+def test_negative_seed_names_its_setting_before_any_work(tiny_dataset, tmp_path, monkeypatch,
+                                                         capsys, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("read_dataset", "generate_synthetic", "build_model"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)
+    train, valid = tiny_dataset
+    if argv[0] == "train":
+        argv += ("--arch", "1-A", "--train", train, "--valid", valid, "--out", "run")
+    assert run_cli(*argv) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("raised", [MemoryError("Unable to allocate 238. GiB"), MemoryError()],
+                         ids=["numpy-message", "bare"])
+def test_out_of_memory_is_one_error_line(tiny_dataset, tmp_path, monkeypatch, capsys, raised):
+    def exhausted(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(cli, "build_model", exhausted)
+    train, valid = tiny_dataset
+    assert run_cli("train", "--arch", "1-A", "--hidden-units", 1000000000, "--train", train,
+                   "--valid", valid, "--out", tmp_path / "run") == 1
+    assert capsys.readouterr().err == f"error: {str(raised) or 'MemoryError'}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_gradcheck_passes_at_toy_dims(capsys):

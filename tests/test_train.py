@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wlat import train as train_module
-from wlat.data import Sample, SynthConfig, generate_synthetic
+from wlat.data import DatasetFormatError, Sample, SynthConfig, generate_synthetic
 from wlat.metrics import evaluate
 from wlat.model import build_model, load_weights, parse_arch, predict_scores, save_weights
 from wlat.rng import gaussian, new_rng
@@ -222,6 +222,16 @@ class TestFit:
             else:
                 assert fields[3:] == ["nan", "nan", "nan"]
         assert result.total_steps == 5 * steps_per_epoch
+
+    def test_label_outside_the_model_classes_names_the_clip(self):
+        _, train, _ = small_split()
+        valid, _ = generate_synthetic(SynthConfig(n_classes=8, n_samples=10, n_frames=4,
+                                                  n_features=8, seed=4))
+        bad = next(s for s in valid if s.labels[-1] >= 4)
+        cfg = TrainConfig(arch="1-A", epochs=1, batch_size=8)
+        with pytest.raises(DatasetFormatError,
+                           match=rf"sample {bad.id!r}: label outside \[0, 4\)"):
+            fit(small_model(), train, valid, cfg)
 
     def test_evaluation_cadence_does_not_perturb_training(self):
         _, train, valid = small_split()
