@@ -10,12 +10,14 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import os
 import sys
 from dataclasses import MISSING, fields, replace
-from typing import Callable, Iterable, Sequence, get_type_hints
+from functools import partial
+from typing import BinaryIO, Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -147,6 +149,41 @@ def _read(args: argparse.Namespace, name: str, reader: Callable):
         raise ValueError(f"{args.flags.get(name, '--config')} {path}: {reason}") from None
 
 
+def _write(args: argparse.Namespace, outputs: Iterable[tuple[str, str, Callable]]) -> None:
+    """Write every (flag name, path, writer) output or none; failures read ``<flag> <path>:
+    <reason>``.  Writers fill temporary files beside the files the paths resolve to, which
+    replace those files once every writer has succeeded; any exception unlinks them.  A file
+    keeps its permission bits, and one that is not regular (a FIFO) is written in place."""
+    staged = []  # (temporary file, file it replaces, flag name, path)
+    try:
+        for name, path, writer in outputs:
+            target = os.path.realpath(path)
+            if os.path.lexists(target) and not os.path.isfile(target):
+                with open(target, "wb") as handle:
+                    writer(handle)
+                continue
+            temp = os.path.join(os.path.dirname(target), f".wlat-{os.urandom(8).hex()}.tmp")
+            with open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as handle:
+                staged.append((temp, target, name, path))
+                if os.path.exists(target):
+                    os.chmod(temp, os.stat(target).st_mode & 0o7777)
+                writer(handle)
+        for temp, target, name, path in staged:
+            os.replace(temp, target)
+        staged = []
+    except OSError as err:
+        raise ValueError(f"{args.flags[name]} {path}: {err.strerror or err}") from None
+    finally:
+        for temp, *_ in staged:
+            if os.path.exists(temp):
+                os.unlink(temp)
+
+
+def _lines(lines: Sequence[str]) -> Callable[[BinaryIO], int]:
+    """A ``_write`` writer of ``lines`` as UTF-8 text, each line ended by ``\\n``."""
+    return lambda handle: handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def _check_dataset(args: argparse.Namespace, name: str, header, model) -> None:
     """A dataset must carry its model's n_features and n_classes; attention pools any frames."""
     if (header.n_features, header.n_classes) != (model.input_dim, model.spec.n_classes):
@@ -207,24 +244,24 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _config(SynthConfig, args)
     n_valid = args.valid_samples or 0
     if not 0 <= n_valid < cfg.n_samples:
-        raise ValueError(f"valid split {n_valid} must be smaller than n_samples {cfg.n_samples}")
+        raise ValueError(f"--valid-samples must be >= 0 and < --n-samples {cfg.n_samples},"
+                         f" got {n_valid}")
     outputs = ("out", "valid_out", "truth_out", "valid_truth_out")
     paths = {name: getattr(args, name) for name in outputs if getattr(args, name) is not None}
     _check_files(args, (), paths.items())
 
     samples, truth = generate_synthetic(cfg)
     split = cfg.n_samples - n_valid
-    parts = {"out": samples[:split], "valid_out": samples[split:]}
-    for name, part in parts.items():
-        if name in paths:
-            with open(paths[name], "wb") as handle:
-                write_dataset(part, replace(cfg.header(), n_samples=len(part)), handle)
-            print(f"wrote {len(part)} samples to {paths[name]}")
-    for name, source in (("truth_out", "out"), ("valid_truth_out", "valid_out")):
-        if name in paths:
-            with open(paths[name], "w") as handle:
-                write_truth({s.id: truth[s.id] for s in parts[source]}, handle)
-            print(f"wrote truth sidecar to {paths[name]}")
+    made = {}  # flag name -> (writer, what stdout says once the file is in place)
+    for name, truth_name, part in (("out", "truth_out", samples[:split]),
+                                   ("valid_out", "valid_truth_out", samples[split:])):
+        header = replace(cfg.header(), n_samples=len(part))
+        events = {s.id: truth[s.id] for s in part}
+        made[name] = partial(write_dataset, part, header), f"wrote {len(part)} samples to"
+        made[truth_name] = (lambda handle, events=events: write_truth(
+            events, codecs.getwriter("utf-8")(handle)), "wrote truth sidecar to")
+    _write(args, [(name, path, made[name][0]) for name, path in paths.items()])
+    print("\n".join(f"{made[name][1]} {path}" for name, path in paths.items()))
     return 0
 
 
@@ -245,15 +282,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     result = fit(model, train_samples, valid_samples, cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(weights_path, "wb") as handle:
-        save_weights(model, handle)
-    with open(log_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(result.log_lines) + "\n")
+    _write(args, [("out", weights_path, partial(save_weights, model)),
+                  ("out", log_path, _lines(result.log_lines))])
 
     print(f"best valid mAP {result.best_map:.6f} at epoch {result.best_epoch}"
           f" ({result.total_steps} steps{', stopped early' if result.stopped_early else ''})")
-    print(f"checkpoint: {weights_path}")
-    print(f"log: {log_path}")
+    print(f"checkpoint: {weights_path}\nlog: {log_path}")
     return 0
 
 
@@ -279,11 +313,9 @@ def _score_dataset(args: argparse.Namespace):
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     header, samples, scores = _score_dataset(args)
     report = evaluate(scores, stack_targets(samples, header.n_classes))
-    print(human_table(report))
-    print(f"mAP {report.mean_ap:.6f}")
+    print(f"{human_table(report)}\nmAP {report.mean_ap:.6f}")
     if args.out is not None:
-        with open(args.out, "w") as handle:
-            handle.write("\n".join(machine_lines(report)) + "\n")
+        _write(args, [("out", args.out, _lines(machine_lines(report)))])
     return 0
 
 
@@ -291,16 +323,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
     _, samples, scores = _score_dataset(args)
-    lines = []
-    for sample, row in zip(samples, scores):
-        hits = ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(row >= args.threshold))
-        lines.append(f"{sample.id}\t{hits}")
-    text = "\n".join(lines) + "\n"
+    lines = [f"{sample.id}\t" + ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(hits))
+             for sample, row, hits in zip(samples, scores, scores >= args.threshold)]
     if args.out is not None:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        _write(args, [("out", args.out, _lines(lines))])
     else:
-        sys.stdout.write(text)
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

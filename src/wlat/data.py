@@ -82,6 +82,8 @@ class Sample:
     labels: tuple[int, ...]  # strictly increasing, each < n_classes
 
     def validate(self, header: DatasetHeader) -> None:
+        if any(separator in self.id for separator in "\t\r\n"):
+            raise DatasetFormatError(f"sample {self.id!r}: id holds a tab, CR or LF")
         shape = (header.n_frames, header.n_features)
         if self.features.shape != shape:
             raise DatasetFormatError(
@@ -216,6 +218,11 @@ class SynthConfig:
             raise ValueError(f"signal_scale must be finite and > 0, got {self.signal_scale}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        # box_muller's |z| <= sqrt(-2 ln 2**-53) < 8.58; a frame sums <= that many unit prototypes
+        peak = self.labels_per_sample_max * self.signal_scale + 8.58 * self.noise_sigma
+        if peak > float(np.finfo(np.float32).max):
+            raise ValueError(f"signal_scale {self.signal_scale} and noise_sigma {self.noise_sigma}"
+                             f" can reach {peak:.8g}, above float32's max 3.4028235e+38")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

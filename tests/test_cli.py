@@ -1,15 +1,24 @@
 """Command-line behavior: flags, exit codes, files, and printed output."""
 
+import contextlib
 import dataclasses
+import errno
+import io
 import json
 import os
+import shutil
+import stat
 import struct
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import wlat
 from wlat import cli
@@ -865,3 +874,254 @@ def test_gradcheck_fails_when_threshold_tightened(monkeypatch):
 def test_gradcheck_bad_toy_dims_is_usage_error(capsys):
     assert run_cli("gradcheck", "--arch", "3-A", "--toy-dims", "2,4,5") == 2
     assert "toy-dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--signal-scale", "1e39"), ("--noise-sigma", "1e300")])
+def test_generator_overflow_fails_before_any_work(tmp_path, capsys, flag, value):
+    keep = tmp_path / "keep.wlad"
+    assert run_cli("gen-data", "--n-samples", 20, "--out", keep) == 0
+    before = keep.read_bytes()
+    capsys.readouterr()
+    assert run_cli("gen-data", "--n-samples", 20, "--out", keep, flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: signal_scale ") and err.count("\n") == 1
+    assert f"{flag[2:].replace('-', '_')} {float(value)} " in err
+    assert "above float32's max" in err
+    assert keep.read_bytes() == before
+    assert os.listdir(tmp_path) == ["keep.wlad"]
+
+
+@pytest.mark.parametrize("valid_samples,message", [
+    (-1, "--valid-samples must be >= 0 and < --n-samples 12, got -1"),
+    (12, "--valid-samples must be >= 0 and < --n-samples 12, got 12"),
+], ids=["negative", "whole-set"])
+def test_valid_split_names_its_flag_and_bound(tmp_path, capsys, valid_samples, message):
+    assert run_cli("gen-data", *GEN_FLAGS, "--out", tmp_path / "a.wlad",
+                   "--valid-out", tmp_path / "b.wlad", "--valid-samples", valid_samples) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_clip_id_holding_a_separator_is_rejected_before_scoring(wide_checkpoint, tmp_path,
+                                                                capsys):
+    data_path, model_path = wide_checkpoint
+    raw = data_path.read_bytes()
+    crafted = tmp_path / "crafted.wlad"
+    crafted.write_bytes(raw.replace(b"s000000", b"a\tb\nc00", 1))
+    assert run_cli("predict", "--model", model_path, "--data", crafted, "--threshold", 0) == 1
+    printed = capsys.readouterr()
+    assert printed.err == (f"error: --data {crafted}: sample 'a\\tb\\nc00':"
+                           " id holds a tab, CR or LF\n")
+    assert printed.out == ""
+
+
+GEN_OUTPUTS = ("--out", "--valid-out", "--truth-out", "--valid-truth-out")
+
+
+@pytest.mark.parametrize("raised", [OSError(errno.ENOSPC, "No space left on device"),
+                                    KeyboardInterrupt()], ids=["no-space", "interrupt"])
+def test_failed_write_leaves_every_output_as_it_was(tmp_path, monkeypatch, capsys, raised):
+    paths = {flag: tmp_path / f"prior{flag}" for flag in GEN_OUTPUTS}
+    for flag, path in paths.items():
+        path.write_bytes(f"prior {flag}\n".encode())
+    listed = sorted(os.listdir(tmp_path))
+    real_write_truth = cli.write_truth
+
+    def half_then_fail(truth, sink):
+        first = dict(list(truth.items())[: len(truth) // 2])
+        real_write_truth(first, sink)
+        raise raised
+
+    monkeypatch.setattr(cli, "write_truth", half_then_fail)
+    argv = ["gen-data", *GEN_FLAGS, "--valid-samples", 4,
+            *[x for flag, path in paths.items() for x in (flag, path)]]
+    if isinstance(raised, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(*argv)
+    else:
+        assert run_cli(*argv) == 1
+        assert (capsys.readouterr().err
+                == f"error: --truth-out {paths['--truth-out']}: No space left on device\n")
+    for flag, path in paths.items():
+        assert path.read_bytes() == f"prior {flag}\n".encode()
+    assert sorted(os.listdir(tmp_path)) == listed
+
+
+def test_predict_out_is_utf8_whatever_the_locale(wide_checkpoint, tmp_path):
+    data_path, model_path = wide_checkpoint
+    with open(data_path, "rb") as handle:
+        header, samples = read_dataset(handle)
+    samples[0] = dataclasses.replace(samples[0], id="é")
+    data = tmp_path / "accented.wlad"
+    with open(data, "wb") as handle:
+        write_dataset(samples, header, handle)
+    utf8_out, posix_out = tmp_path / "utf8.tsv", tmp_path / "posix.tsv"
+    assert run_cli("predict", "--model", model_path, "--data", data, "--out", utf8_out) == 0
+    posix_out.write_bytes(b"old scores\n")
+    env = {k: v for k, v in python_env().items()
+           if not k.startswith("LC_") and k not in ("LANG", "PYTHONIOENCODING", "PYTHONUTF8")}
+    done = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "wlat", "predict", "--model", str(model_path),
+         "--data", str(data), "--out", str(posix_out)],
+        capture_output=True, env=dict(env, LC_ALL="POSIX"), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert posix_out.read_bytes() == utf8_out.read_bytes()
+    assert posix_out.read_bytes().startswith("é\t".encode("utf-8"))
+
+
+def evaluate_into(artifacts, out):
+    data_path, model_path, _ = artifacts
+    return run_cli("evaluate", "--model", model_path, "--data", data_path, "--out", out)
+
+
+def test_symlinked_out_is_written_through(overfit_artifacts, tmp_path):
+    assert evaluate_into(overfit_artifacts, tmp_path / "plain.tsv") == 0
+    target, link = tmp_path / "target.tsv", tmp_path / "link.tsv"
+    target.write_bytes(b"old report\n")
+    link.symlink_to(target.name)
+    assert evaluate_into(overfit_artifacts, link) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["link.tsv", "plain.tsv", "target.tsv"]
+
+
+def test_symlink_loop_out_fails_like_open_and_stays(overfit_artifacts, tmp_path, capsys):
+    loop = tmp_path / "a.tsv"
+    loop.symlink_to("b.tsv")
+    (tmp_path / "b.tsv").symlink_to("a.tsv")
+    assert evaluate_into(overfit_artifacts, loop) == 1
+    assert capsys.readouterr().err == f"error: --out {loop}: Too many levels of symbolic links\n"
+    assert os.readlink(loop) == "b.tsv" and os.readlink(tmp_path / "b.tsv") == "a.tsv"
+    assert sorted(os.listdir(tmp_path)) == ["a.tsv", "b.tsv"]
+
+
+def test_out_keeps_its_mode_and_a_new_one_gets_opens(overfit_artifacts, tmp_path):
+    kept, new = tmp_path / "kept.tsv", tmp_path / "new.tsv"
+    kept.write_bytes(b"old report\n")
+    kept.chmod(0o600)
+    assert evaluate_into(overfit_artifacts, kept) == 0
+    assert evaluate_into(overfit_artifacts, new) == 0
+    assert kept.read_bytes() == new.read_bytes()
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+
+
+def test_out_naming_a_fifo_is_written_in_place(overfit_artifacts, tmp_path, capsys):
+    data_path, model_path, _ = overfit_artifacts
+    argv = ["predict", "--model", model_path, "--data", data_path]
+    assert run_cli(*argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    fifo = tmp_path / "scores.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run_cli(*argv, "--out", fifo) == 0
+    finally:
+        reader.join(timeout=30)
+        if reader.is_alive():  # release a reader still waiting for a writer
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["scores.fifo"]
+
+
+# Every command's base argv exits 0; the property test below overrides or drops up to
+# three of its flags.  Values stay small, so no example builds more than 24 clips, 16
+# hidden units or 2 epochs.
+PROPERTY_BASES = {
+    "gen-data": {"n_samples": "24", "n_classes": "4", "n_frames": "4", "n_features": "6",
+                 "out": "gen.wlad", "truth_out": "gen.truth", "valid_out": "valid.wlad",
+                 "valid_samples": "8"},
+    "train": {"arch": "1-A", "hidden_units": "4", "epochs": "1", "batch_size": "8",
+              "train_path": "data.wlad", "valid_path": "data.wlad", "out": "run"},
+    "evaluate": {"model": "model.wlam", "data": "data.wlad", "out": "report.tsv"},
+    "predict": {"model": "model.wlam", "data": "data.wlad", "out": "scores.tsv"},
+    "gradcheck": {"arch": "1-A"},
+}
+PROPERTY_OUTPUTS = ("gen.wlad", "gen.truth", "valid.wlad", "run/model.wlam",
+                    "run/train_log.tsv", "report.tsv", "scores.tsv")
+DROPPED = None
+
+
+@pytest.fixture(scope="module")
+def property_files(tmp_path_factory):
+    """The inputs every example starts from: a dataset, a checkpoint that scores it, a
+    corrupt file and a directory."""
+    root = tmp_path_factory.mktemp("property")
+    cfg = SynthConfig(n_classes=4, n_samples=24, n_frames=4, n_features=6, seed=5)
+    with open(root / "data.wlad", "wb") as handle:
+        write_dataset(generate_synthetic(cfg)[0], cfg.header(), handle)
+    with open(root / "model.wlam", "wb") as handle:
+        save_weights(build_model(parse_arch("1-A", 4, 4), 6, init_seed=0), handle)
+    (root / "corrupt.bin").write_bytes(b"neither JSON nor a wlat file\n")
+    (root / "adir").mkdir()
+    return root
+
+
+def snapshot(root):
+    return {os.path.relpath(os.path.join(folder, name), root):
+            Path(folder, name).read_bytes() for folder, _, names in os.walk(root)
+            for name in names}
+
+
+def written_files(argv):
+    args = cli._parse(cli._build_parser(), argv)
+    if args.command == "train":
+        return {os.path.join(args.out, name) for name in ("model.wlam", "train_log.tsv")}
+    names = ("out", "truth_out", "valid_out", "valid_truth_out")
+    return {getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_flags_exit_cleanly_and_a_failure_changes_no_file(property_files, tmp_path,
+                                                              monkeypatch, data):
+    command = data.draw(st.sampled_from(sorted(PROPERTY_BASES)), label="command")
+    flags = cli._parse(cli._build_parser(), [command]).flags
+    values = st.sampled_from(["-1", "0", "1", "2", "1e39", "nan", "inf", "", "absent", "adir",
+                              "corrupt.bin", "data.wlad", "model.wlam", DROPPED])
+    changes = data.draw(st.dictionaries(st.sampled_from(sorted(flags)), values, max_size=3),
+                        label="changes")
+    via_config = data.draw(st.booleans(), label="via_config")
+    prior_outputs = data.draw(st.booleans(), label="prior_outputs")
+
+    root = Path(tempfile.mkdtemp(dir=tmp_path))
+    shutil.copytree(property_files, root, dirs_exist_ok=True)
+    monkeypatch.chdir(root)
+    if prior_outputs:
+        for name in PROPERTY_OUTPUTS:
+            Path(name).parent.mkdir(exist_ok=True)
+            Path(name).write_text(f"prior {name}\n")
+    entries = {**PROPERTY_BASES[command], **changes}
+    argv = [command]
+    if via_config:
+        Path("recipe.json").write_text(json.dumps(
+            {key: value for key, value in changes.items() if value is not DROPPED}))
+        argv += ["--config", "recipe.json"]
+        entries = {key: value for key, value in entries.items() if key not in changes}
+    argv += [f"{flags[key]}={value}" for key, value in entries.items() if value is not DROPPED]
+
+    before = snapshot(root)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.run(argv)
+    after, err = snapshot(root), err.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "RuntimeWarning" not in err
+    if code:
+        lines = err.splitlines()
+        assert (len(lines) == 1 and lines[0].startswith(("error: ", "usage error: "))
+                or lines[0].startswith("usage: ") and f"wlat {command}: error: " in lines[-1]), \
+            (argv, err)
+        assert after == before, argv
+    else:
+        written = {os.path.normpath(path) for path in written_files(argv)}
+        assert set(after) - set(before) <= written, argv
+        assert {k: v for k, v in before.items() if k not in written} == \
+            {k: v for k, v in after.items() if k not in written}, argv

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import re
 import struct
 import tracemalloc
 import warnings
@@ -208,6 +209,19 @@ def test_trailing_bytes_rejected():
     cfg, samples, _ = small_dataset(n_samples=2)
     with pytest.raises(DatasetFormatError, match="3 trailing bytes"):
         read_dataset(io.BytesIO(write_bytes(samples, cfg.header()) + b"abc"))
+
+
+@pytest.mark.parametrize("sample_id", ["a\tb", "a\rb", "a\nb", "a\tb\nc"])
+def test_id_holding_a_separator_is_rejected(sample_id):
+    header = DatasetHeader(1, 1, 2, 1)
+    features = np.zeros((1, 1), np.float32)
+    message = re.escape(f"sample {sample_id!r}: id holds a tab, CR or LF")
+    with pytest.raises(DatasetFormatError, match=message):
+        write_dataset([Sample(sample_id, features, (0,))], header, io.BytesIO())
+    stand_in = "x" * len(sample_id)
+    raw = write_bytes([Sample(stand_in, features, (0,))], header)
+    with pytest.raises(DatasetFormatError, match=message):
+        read_dataset(io.BytesIO(raw.replace(stand_in.encode(), sample_id.encode())))
 
 
 def test_label_count_must_fit_u16():
@@ -509,6 +523,29 @@ def test_config_validation():
 def test_synth_config_rejects_non_finite_scales(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite.*got {value}"):
         SynthConfig(**{name: value})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"signal_scale": 1e39},
+    {"noise_sigma": 1e300},
+    {"signal_scale": 1.8e38},
+    {"labels_per_sample_max": 3, "signal_scale": 1.2e38},
+    {"noise_sigma": 4e37},
+], ids=["scale", "sigma", "two-labels", "three-labels", "noise-tail"])
+def test_synth_config_rejects_settings_that_can_overflow_float32(overrides):
+    with pytest.raises(ValueError, match=r"can reach .*, above float32's max 3\.4028235e\+38"):
+        SynthConfig(**overrides)
+
+
+def test_settings_at_the_float32_bound_generate_finite_clips():
+    # one feature, so the unit-norm prototype is +-1 and is planted on every frame
+    cfg = SynthConfig(n_classes=1, n_samples=64, n_frames=2, n_features=1, event_frames_min=2,
+                      event_frames_max=2, labels_per_sample_min=1, labels_per_sample_max=1,
+                      signal_scale=3.4e38,
+                      noise_sigma=0.99 * (float(np.finfo(np.float32).max) - 3.4e38) / 8.58)
+    samples, _ = generate_synthetic(cfg)
+    assert max(float(np.abs(s.features).max()) for s in samples) > 3.3e38
+    assert all(np.isfinite(s.features).all() for s in samples)
 
 
 def _logistic_probe_auc(train_x, train_y, test_x, test_y):
