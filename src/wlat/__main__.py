@@ -16,6 +16,7 @@ def main() -> None:
     default_blas_threads()
     from .cli import run  # the first import of numpy
 
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")  # as every file wlat writes
     sys.exit(run(sys.argv[1:]))
 
 

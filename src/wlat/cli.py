@@ -14,6 +14,7 @@ import codecs
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import MISSING, fields, replace
 from functools import partial
@@ -45,6 +46,7 @@ from .rng import gaussian, new_rng
 from .train import TrainConfig, bce_loss, fit
 
 GRADCHECK_THRESHOLD = 1e-4
+Result = tuple[list[tuple[str, str, Callable]], Sequence[str], int]  # outputs, lines, exit code
 
 
 class UsageError(Exception):
@@ -52,9 +54,9 @@ class UsageError(Exception):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The ``wlat`` grammar.  A command's namespace carries ``run``, the
-    function that executes it, and ``flags``, which maps each destination
-    name (a config key) to the flag declared for it.
+    """The ``wlat`` grammar.  A command's namespace carries ``run``, the function that
+    executes it, ``flags``, which maps each destination name (a config key) to the flag
+    declared for it, and ``required``, the names ``run`` needs set after ``--config``.
     """
     parser = argparse.ArgumentParser(
         prog="wlat",
@@ -66,28 +68,32 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", metavar="command")
 
     def add(
-        name: str, help_text: str, command: Callable[[argparse.Namespace], int]
+        name: str, help_text: str, command: Callable[[argparse.Namespace], Result]
     ) -> Callable[..., None]:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--config", help="JSON file supplying flag values (flags override)")
         flags: dict[str, str] = {}
-        sub.set_defaults(flags=flags, run=command)
+        required_names: list[str] = []
+        sub.set_defaults(flags=flags, required=required_names, run=command)
 
-        def flag(option: str, **kwargs) -> None:
-            flags[sub.add_argument(option, **kwargs).dest] = option
+        def flag(option: str, required: bool = False, **kwargs) -> None:
+            dest = sub.add_argument(option, **kwargs).dest
+            flags[dest] = option
+            if required:
+                required_names.append(dest)
 
         return flag
 
     def field_flags(flag: Callable[..., None], config: type, **help_text: str) -> None:
-        """One flag per field of a config dataclass, with the field's type and default."""
+        """One flag per config dataclass field, with its type and default, or required."""
         types = get_type_hints(config)
         for field in fields(config):
-            default = None if field.default is MISSING else field.default
-            flag("--" + field.name.replace("_", "-"), type=types[field.name], default=default,
-                 help=help_text.get(field.name))
+            required = field.default is MISSING
+            flag("--" + field.name.replace("_", "-"), required, type=types[field.name],
+                 default=None if required else field.default, help=help_text.get(field.name))
 
     gen = add("gen-data", "generate a synthetic weakly labelled dataset", _cmd_gen_data)
-    gen("--out", help="dataset file to write")
+    gen("--out", required=True, help="dataset file to write")
     gen("--truth-out", help="event-frame sidecar for --out")
     gen("--valid-out", help="carve a validation split into this file")
     gen("--valid-samples", type=int, help="size of the validation split")
@@ -95,9 +101,9 @@ def _build_parser() -> argparse.ArgumentParser:
     field_flags(gen, SynthConfig)
 
     tr = add("train", "train a model and keep the best validation checkpoint", _cmd_train)
-    tr("--train", dest="train_path", help="training dataset file")
-    tr("--valid", dest="valid_path", help="validation dataset file")
-    tr("--out", help="output directory for checkpoint and log")
+    tr("--train", required=True, dest="train_path", help="training dataset file")
+    tr("--valid", required=True, dest="valid_path", help="validation dataset file")
+    tr("--out", required=True, help="output directory for checkpoint and log")
     field_flags(tr, TrainConfig, arch="architecture string, e.g. 2-A-1-A",
                 patience="evaluations without improvement before stopping")
     tr("--hidden-units", type=int, default=600)
@@ -106,16 +112,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = add("evaluate", "score a trained model on a dataset", _cmd_evaluate)
     pr = add("predict", "emit per-sample class scores above a threshold", _cmd_predict)
     for flag in (ev, pr):
-        flag("--model", help="weight file")
+        flag("--model", required=True, help="weight file")
         flag("--arch", help="optional check of the checkpoint's architecture string")
-        flag("--data", help="dataset file")
+        flag("--data", required=True, help="dataset file")
         flag("--hidden-units", type=int, help="optional check of the checkpoint's width")
     ev("--out", help="also write machine-readable records here")
     pr("--threshold", type=float, default=0.5)
     pr("--out", help="write records here instead of stdout")
 
     gc = add("gradcheck", "finite-difference check of the full backward pass", _cmd_gradcheck)
-    gc("--arch", help="architecture string to check")
+    gc("--arch", required=True, help="architecture string to check")
     gc("--toy-dims", default="2,4,5,3", help="frames,features,hidden,classes (default %(default)s)")
     gc("--seed", type=int, default=0)
     return parser
@@ -151,22 +157,26 @@ def _read(args: argparse.Namespace, name: str, reader: Callable):
 
 def _write(args: argparse.Namespace, outputs: Iterable[tuple[str, str, Callable]]) -> None:
     """Write every (flag name, path, writer) output or none; failures read ``<flag> <path>:
-    <reason>``.  Writers fill temporary files beside the files the paths resolve to, which
-    replace those files once every writer has succeeded; any exception unlinks them.  A file
-    keeps its permission bits, and one that is not regular (a FIFO) is written in place."""
+    <reason>``.  By one ``os.stat``: an absent path or a regular file is replaced, keeping its
+    mode, by a temporary file beside its realpath once every writer has succeeded (any
+    exception unlinks them); anything else (a FIFO, a device, a pipe) is written in place."""
     staged = []  # (temporary file, file it replaces, flag name, path)
     try:
         for name, path, writer in outputs:
-            target = os.path.realpath(path)
-            if os.path.lexists(target) and not os.path.isfile(target):
-                with open(target, "wb") as handle:
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                with open(path, "wb") as handle:
                     writer(handle)
                 continue
+            target = os.path.realpath(path)
             temp = os.path.join(os.path.dirname(target), f".wlat-{os.urandom(8).hex()}.tmp")
             with open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as handle:
                 staged.append((temp, target, name, path))
-                if os.path.exists(target):
-                    os.chmod(temp, os.stat(target).st_mode & 0o7777)
+                if mode is not None:
+                    os.chmod(temp, stat.S_IMODE(mode))
                 writer(handle)
         for temp, target, name, path in staged:
             os.replace(temp, target)
@@ -192,9 +202,9 @@ def _check_dataset(args: argparse.Namespace, name: str, header, model) -> None:
                          f" has n_classes={model.spec.n_classes} input_dim={model.input_dim}")
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    if missing := [args.flags[name] for name in names if getattr(args, name) is None]:
-        raise UsageError(f"missing required flags: {', '.join(missing)}")
+def _at_least(args: argparse.Namespace, name: str, low: int) -> None:
+    if (value := getattr(args, name)) is not None and value < low:
+        raise ValueError(f"{args.flags[name]} must be >= {low}, got {value}")
 
 
 def _config(config: type, args: argparse.Namespace):
@@ -234,8 +244,7 @@ def _check_files(args: argparse.Namespace, read: Sequence[str], written: Iterabl
         flag_by_file[real] = flag
 
 
-def _cmd_gen_data(args: argparse.Namespace) -> int:
-    _require(args, "out")
+def _cmd_gen_data(args: argparse.Namespace) -> Result:
     if (args.valid_out is None) != (args.valid_samples is None):
         raise UsageError("--valid-out and --valid-samples must be given together")
     if args.valid_truth_out is not None and args.valid_out is None:
@@ -260,41 +269,38 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         made[name] = partial(write_dataset, part, header), f"wrote {len(part)} samples to"
         made[truth_name] = (lambda handle, events=events: write_truth(
             events, codecs.getwriter("utf-8")(handle)), "wrote truth sidecar to")
-    _write(args, [(name, path, made[name][0]) for name, path in paths.items()])
-    print("\n".join(f"{made[name][1]} {path}" for name, path in paths.items()))
-    return 0
+    return ([(name, path, made[name][0]) for name, path in paths.items()],
+            [f"{made[name][1]} {path}" for name, path in paths.items()], 0)
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    _require(args, "arch", "train_path", "valid_path", "out")
+def _cmd_train(args: argparse.Namespace) -> Result:
     cfg = _config(TrainConfig, args)
-    if args.init_seed < 0:
-        raise ValueError(f"--init-seed must be >= 0, got {args.init_seed}")
+    _at_least(args, "init_seed", 0)
     weights_path, log_path = (os.path.join(args.out, f) for f in ("model.wlam", "train_log.tsv"))
     _check_files(args, ("train_path", "valid_path"), (("out", weights_path), ("out", log_path)),
                  args.out)
+    _at_least(args, "hidden_units", 1)
+    spec = parse_arch(cfg.arch, args.hidden_units, 1)  # n_classes comes from --train
 
     train_header, train_samples = _read(args, "train_path", read_dataset)
     valid_header, valid_samples = _read(args, "valid_path", read_dataset)
-    spec = parse_arch(cfg.arch, args.hidden_units, train_header.n_classes)
+    spec = replace(spec, n_classes=train_header.n_classes)
     model = build_model(spec, train_header.n_features, args.init_seed)
     _check_dataset(args, "valid_path", valid_header, model)
     result = fit(model, train_samples, valid_samples, cfg)
 
     os.makedirs(args.out, exist_ok=True)
-    _write(args, [("out", weights_path, partial(save_weights, model)),
-                  ("out", log_path, _lines(result.log_lines))])
-
-    print(f"best valid mAP {result.best_map:.6f} at epoch {result.best_epoch}"
-          f" ({result.total_steps} steps{', stopped early' if result.stopped_early else ''})")
-    print(f"checkpoint: {weights_path}\nlog: {log_path}")
-    return 0
+    return ([("out", weights_path, partial(save_weights, model)),
+             ("out", log_path, _lines(result.log_lines))],
+            [f"best valid mAP {result.best_map:.6f} at epoch {result.best_epoch}"
+             f" ({result.total_steps} steps{', stopped early' if result.stopped_early else ''})",
+             f"checkpoint: {weights_path}", f"log: {log_path}"], 0)
 
 
 def _score_dataset(args: argparse.Namespace):
     """Score a dataset with a checkpoint whose header must agree with any given flags."""
-    _require(args, "model", "data")
     _check_files(args, ("model", "data"), [("out", args.out)] if args.out is not None else ())
+    _at_least(args, "hidden_units", 1)
     header, samples = _read(args, "data", read_dataset)
     if not samples:
         raise ValueError(f"--data {args.data} holds no clips to score")
@@ -310,36 +316,30 @@ def _score_dataset(args: argparse.Namespace):
     return header, samples, predict_scores(model, stack_features(samples))
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> Result:
     header, samples, scores = _score_dataset(args)
     report = evaluate(scores, stack_targets(samples, header.n_classes))
-    print(f"{human_table(report)}\nmAP {report.mean_ap:.6f}")
-    if args.out is not None:
-        _write(args, [("out", args.out, _lines(machine_lines(report)))])
-    return 0
+    outputs = [("out", args.out, _lines(machine_lines(report)))] if args.out is not None else []
+    return outputs, [human_table(report), f"mAP {report.mean_ap:.6f}"], 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> Result:
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
     _, samples, scores = _score_dataset(args)
     lines = [f"{sample.id}\t" + ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(hits))
              for sample, row, hits in zip(samples, scores, scores >= args.threshold)]
-    if args.out is not None:
-        _write(args, [("out", args.out, _lines(lines))])
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return ([], lines, 0) if args.out is None else ([("out", args.out, _lines(lines))], [], 0)
 
 
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    _require(args, "arch")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+def _cmd_gradcheck(args: argparse.Namespace) -> Result:
+    _at_least(args, "seed", 0)
     try:
-        n_frames, n_features, hidden, n_classes = (int(part) for part in args.toy_dims.split(","))
+        n_frames, n_features, hidden, n_classes = dims = [int(p) for p in args.toy_dims.split(",")]
     except ValueError as err:
         raise UsageError(f"--toy-dims must be four comma-separated integers: {err}") from None
+    if min(dims) < 1:
+        raise UsageError(f"--toy-dims entries must be >= 1, got {args.toy_dims}")
 
     spec = parse_arch(args.arch, hidden, n_classes)
     model = build_model(spec, n_features, args.seed)
@@ -347,22 +347,28 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     features = gaussian(rng, (3, n_frames, n_features))
     targets = (rng.random((3, n_classes)) < 0.5).astype(np.float64)
     error = model_grad_check(model, features, lambda z: bce_loss(z, targets))
-    print(f"max relative error {error:.3e} (threshold {GRADCHECK_THRESHOLD:.0e})")
-    return 0 if error < GRADCHECK_THRESHOLD else 1
+    return ([], [f"max relative error {error:.3e} (threshold {GRADCHECK_THRESHOLD:.0e})"],
+            0 if error < GRADCHECK_THRESHOLD else 1)
 
 
 def run(argv: Sequence[str]) -> int:
+    """Parse (``--config`` merged), check required flags, run the command, write the outputs
+    it returns all or none, then print its lines: an error prints nothing on stdout."""
     parser = _build_parser()
     try:
         args = _parse(parser, argv)
         if args.list_archs:
-            for arch in PRESET_ARCHS:
-                print(arch)
-            return 0
-        if args.command is None:
+            outputs, lines, code = [], PRESET_ARCHS, 0
+        elif args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        return args.run(args)
+        elif missing := [args.flags[n] for n in args.required if getattr(args, n) is None]:
+            raise UsageError(f"missing required flags: {', '.join(missing)}")
+        else:
+            outputs, lines, code = args.run(args)
+        _write(args, outputs)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
+        return code
     except SystemExit as exit_request:
         return int(exit_request.code or 0)
     except UsageError as err:

@@ -190,12 +190,14 @@ def fit(
         loss_sum = 0.0
         for start in range(0, n_train, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            fwd = forward_cached(model, x_train[batch], TRAIN, dropout_rng, cfg.dropout)
-            loss, grad_z = bce_loss(fwd.z, y_train[batch])
-            if not math.isfinite(loss):
-                raise ValueError(f"training loss {loss} is not finite at epoch {epoch}, "
-                                 f"step {adam.t + 1}")
-            grads = backward(model, fwd, grad_z)
+            # a diverging step overflows silently; the finite checks name it
+            with np.errstate(over="ignore", invalid="ignore"):
+                fwd = forward_cached(model, x_train[batch], TRAIN, dropout_rng, cfg.dropout)
+                loss, grad_z = bce_loss(fwd.z, y_train[batch])
+                if not math.isfinite(loss):
+                    raise ValueError(f"training loss {loss} is not finite at epoch {epoch}, "
+                                     f"step {adam.t + 1}")
+                grads = backward(model, fwd, grad_z)
             if not any(grad.any() for grad in grads.values()):
                 raise ValueError(f"every gradient is zero at epoch {epoch}, step {adam.t + 1}: "
                                  "the output layer is saturated")

@@ -470,7 +470,6 @@ def test_train_rejects_lone_single_frame_batch(tmp_path, capsys):
     assert not (tmp_path / "run" / "model.wlam").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge steps overflow on purpose
 def test_train_stops_at_non_finite_loss(tiny_dataset, tmp_path, capsys):
     train, valid = tiny_dataset
     code = run_cli(
@@ -845,6 +844,41 @@ def test_negative_seed_names_its_setting_before_any_work(tiny_dataset, tmp_path,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("train", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
+    (("train", "--arch", "1-A", "--hidden-units", 0), "--hidden-units must be >= 1, got 0"),
+    (("evaluate", "--hidden-units", 0), "--hidden-units must be >= 1, got 0"),
+    (("predict", "--hidden-units", -3), "--hidden-units must be >= 1, got -3"),
+], ids=["train-arch", "train-hidden-units", "evaluate-hidden-units", "predict-hidden-units"])
+def test_model_flags_are_checked_before_any_input_is_read(tiny_dataset, wide_checkpoint, tmp_path,
+                                                          monkeypatch, capsys, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("read_dataset", "load_weights"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "train":
+        train, valid = tiny_dataset
+        argv += ("--train", train, "--valid", valid, "--out", "run")
+    else:
+        data, model = wide_checkpoint
+        argv += ("--model", model, "--data", data)
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_required_flags_may_come_from_the_config_file(tiny_dataset, tmp_path):
+    train, valid = tiny_dataset
+    config = tmp_path / "recipe.json"
+    config.write_text(json.dumps({"arch": "1-A", "train_path": str(train),
+                                  "valid_path": str(valid), "out": str(tmp_path / "run"),
+                                  "hidden_units": 6, "epochs": 1, "batch_size": 8}))
+    assert run_cli("train", "--config", config) == 0
+    assert sorted(os.listdir(tmp_path / "run")) == ["model.wlam", "train_log.tsv"]
+
+
 @pytest.mark.parametrize("raised", [MemoryError("Unable to allocate 238. GiB"), MemoryError()],
                          ids=["numpy-message", "bare"])
 def test_out_of_memory_is_one_error_line(tiny_dataset, tmp_path, monkeypatch, capsys, raised):
@@ -871,8 +905,9 @@ def test_gradcheck_fails_when_threshold_tightened(monkeypatch):
     assert run_cli("gradcheck", "--arch", "3-A") == 1
 
 
-def test_gradcheck_bad_toy_dims_is_usage_error(capsys):
-    assert run_cli("gradcheck", "--arch", "3-A", "--toy-dims", "2,4,5") == 2
+@pytest.mark.parametrize("toy_dims", ["2,4,5", "-2,4,5,3", "2,4,-5,3", "2,0,5,3"])
+def test_gradcheck_bad_toy_dims_is_usage_error(capsys, toy_dims):
+    assert run_cli("gradcheck", "--arch", "3-A", f"--toy-dims={toy_dims}") == 2
     assert "toy-dims" in capsys.readouterr().err
 
 
@@ -969,6 +1004,49 @@ def test_predict_out_is_utf8_whatever_the_locale(wide_checkpoint, tmp_path):
     assert posix_out.read_bytes().startswith("é\t".encode("utf-8"))
 
 
+def test_predict_stdout_is_utf8_whatever_the_locale(wide_checkpoint, tmp_path):
+    data_path, model_path = wide_checkpoint
+    with open(data_path, "rb") as handle:
+        header, samples = read_dataset(handle)
+    samples[0] = dataclasses.replace(samples[0], id="é1")
+    data = tmp_path / "accented.wlad"
+    with open(data, "wb") as handle:
+        write_dataset(samples, header, handle)
+    argv = ["predict", "--model", str(model_path), "--data", str(data), "--threshold", "0"]
+    out = tmp_path / "scores.tsv"
+    assert run_cli(*argv, "--out", out) == 0
+    env = {k: v for k, v in python_env().items()
+           if not k.startswith("LC_") and k not in ("LANG", "PYTHONIOENCODING", "PYTHONUTF8")}
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "wlat", *argv],
+                          capture_output=True, env=dict(env, LC_ALL="POSIX"), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == out.read_bytes()
+    assert done.stdout.startswith("é1\t".encode("utf-8"))
+
+
+def test_out_path_that_is_not_utf8_prints_as_given(tmp_path):
+    out = os.fsencode(tmp_path) + b"/d\xff.wlad"
+    done = subprocess.run([sys.executable, "-m", "wlat", "gen-data", "--n-samples", "5",
+                           "--out", out], capture_output=True, timeout=60,
+                          env=dict(python_env(), PYTHONIOENCODING="utf-8"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"wrote 5 samples to " + out + b"\n"
+    assert os.path.exists(out)
+
+
+def test_failed_write_prints_nothing_on_stdout(overfit_artifacts, tmp_path, monkeypatch, capsys):
+    def no_space(source, target):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_space)
+    out = tmp_path / "report.tsv"
+    assert evaluate_into(overfit_artifacts, out) == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: --out {out}: No space left on device\n"
+    assert printed.out == ""
+    assert os.listdir(tmp_path) == []
+
+
 def evaluate_into(artifacts, out):
     data_path, model_path, _ = artifacts
     return run_cli("evaluate", "--model", model_path, "--data", data_path, "--out", out)
@@ -1028,6 +1106,38 @@ def test_out_naming_a_fifo_is_written_in_place(overfit_artifacts, tmp_path, caps
     assert received == [expected]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["scores.fifo"]
+
+
+def test_out_naming_a_pipe_is_written_in_place(overfit_artifacts, tmp_path, monkeypatch):
+    data_path, model_path, _ = overfit_artifacts
+    argv = ["predict", "--model", model_path, "--data", data_path, "--out"]
+    assert run_cli(*argv, tmp_path / "plain.tsv") == 0
+    real_open = os.open
+
+    def no_files_under_proc(path, *args, **kwargs):
+        if os.fspath(path).startswith("/proc/"):
+            raise PermissionError(errno.EACCES, "refused a file under /proc", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", no_files_under_proc)
+    read_end, write_end = os.pipe()
+    received = []
+
+    def drain():
+        with open(read_end, "rb") as source:
+            received.append(source.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        code = run_cli(*argv, f"/dev/fd/{write_end}")
+    finally:
+        os.close(write_end)
+        reader.join(timeout=30)
+    assert code == 0
+    assert not reader.is_alive()
+    assert received == [(tmp_path / "plain.tsv").read_bytes()]
+    assert os.listdir(tmp_path) == ["plain.tsv"]
 
 
 # Every command's base argv exits 0; the property test below overrides or drops up to

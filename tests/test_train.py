@@ -316,7 +316,6 @@ class TestFit:
         for name, arr in model.state_params().items():
             assert np.array_equal(arr, before[name]), name
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge steps overflow on purpose
     def test_non_finite_loss_names_epoch_and_step(self, record_batches):
         _, train, valid = small_split()
         batches = record_batches(train)
