@@ -10,7 +10,6 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import codecs
 import json
 import math
 import os
@@ -157,26 +156,33 @@ def _read(args: argparse.Namespace, name: str, reader: Callable):
 
 def _write(args: argparse.Namespace, outputs: Iterable[tuple[str, str, Callable]]) -> None:
     """Write every (flag name, path, writer) output or none; failures read ``<flag> <path>:
-    <reason>``.  By one ``os.stat``: an absent path or a regular file is replaced, keeping its
-    mode, by a temporary file beside its realpath once every writer has succeeded (any
-    exception unlinks them); anything else (a FIFO, a device, a pipe) is written in place."""
+    <reason>``.  By one ``os.stat``: stdout's own file is written through a dup of stdout's
+    descriptor (one offset), any other that is not regular (a FIFO, a device, a pipe) in place,
+    and the rest replaced, mode kept, by a temporary file made (directory too) beside the
+    realpath once every writer has succeeded (any exception unlinks them)."""
+    try:
+        stdout = os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # a stream with no descriptor (io.StringIO) is no file
+        stdout = None
     staged = []  # (temporary file, file it replaces, flag name, path)
     try:
         for name, path, writer in outputs:
             try:
-                mode = os.stat(path).st_mode
-            except FileNotFoundError:
-                mode = None
-            if mode is not None and not stat.S_ISREG(mode):
-                with open(path, "wb") as handle:
+                status = os.stat(path)
+            except (FileNotFoundError, NotADirectoryError):  # no file there yet
+                status = None
+            own = status is not None and stdout is not None and os.path.samestat(status, stdout)
+            if own or status is not None and not stat.S_ISREG(status.st_mode):
+                with open(os.dup(sys.stdout.fileno()) if own else path, "wb") as handle:
                     writer(handle)
                 continue
             target = os.path.realpath(path)
+            os.makedirs(os.path.dirname(target), exist_ok=True)
             temp = os.path.join(os.path.dirname(target), f".wlat-{os.urandom(8).hex()}.tmp")
             with open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as handle:
                 staged.append((temp, target, name, path))
-                if mode is not None:
-                    os.chmod(temp, stat.S_IMODE(mode))
+                if status is not None:
+                    os.chmod(temp, stat.S_IMODE(status.st_mode))
                 writer(handle)
         for temp, target, name, path in staged:
             os.replace(temp, target)
@@ -214,18 +220,17 @@ def _config(config: type, args: argparse.Namespace):
 
 def _check_files(args: argparse.Namespace, read: Sequence[str], written: Iterable[tuple],
                  out_dir: str | None = None) -> None:
-    """Fail before any work if an output's path is empty or a directory, its directory is
-    missing, or its ``os.path.realpath`` names ``--config``, a ``read`` flag's file or another
-    output.
-    ``written`` holds (flag name, path) pairs; read files may be the same file.  Given an
-    ``out_dir``, which the command makes and writes every output into, that directory may be
-    missing, but the nearest existing path on its way up must be a directory."""
+    """Fail before any work if an output's path is empty or its ``os.path.realpath`` (the file
+    ``_write`` replaces) is a directory, lies in a missing directory, or names ``--config``, a
+    ``read`` flag's file or another output; read files may be the same file.  ``written``
+    holds (flag name, path) pairs.  Only ``out_dir`` (train's, which ``_write`` makes) may be
+    missing, and then the nearest existing path on its way up must be a directory."""
     if out_dir is not None:
         if not out_dir:
             raise UsageError("output directory is an empty path")
-        existing = out_dir
+        out_dir = existing = os.path.realpath(out_dir)
         while not os.path.lexists(existing):
-            existing = os.path.dirname(existing) or "."
+            existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
             raise UsageError(f"output directory is not a directory: {existing}")
     flag_by_file = {os.path.realpath(getattr(args, name)): args.flags.get(name, "--config")
@@ -233,12 +238,11 @@ def _check_files(args: argparse.Namespace, read: Sequence[str], written: Iterabl
     for name, path in written:
         if not path:
             raise UsageError(f"{args.flags[name]} is an empty path")
-        parent = os.path.dirname(path) or "."
-        if out_dir is None and not os.path.isdir(parent):
-            raise UsageError(f"output directory does not exist: {parent}")
-        if os.path.isdir(path):
-            raise UsageError(f"output path is a directory: {path}")
         real, flag = os.path.realpath(path), args.flags[name]
+        if (parent := os.path.dirname(real)) != out_dir and not os.path.isdir(parent):
+            raise UsageError(f"output directory does not exist: {parent}")
+        if os.path.isdir(real):
+            raise UsageError(f"output path is a directory: {path}")
         if real in flag_by_file:
             raise UsageError(f"{flag_by_file[real]} and {flag} name the same file: {path}")
         flag_by_file[real] = flag
@@ -267,8 +271,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> Result:
         header = replace(cfg.header(), n_samples=len(part))
         events = {s.id: truth[s.id] for s in part}
         made[name] = partial(write_dataset, part, header), f"wrote {len(part)} samples to"
-        made[truth_name] = (lambda handle, events=events: write_truth(
-            events, codecs.getwriter("utf-8")(handle)), "wrote truth sidecar to")
+        made[truth_name] = partial(write_truth, events), "wrote truth sidecar to"
     return ([(name, path, made[name][0]) for name, path in paths.items()],
             [f"{made[name][1]} {path}" for name, path in paths.items()], 0)
 
@@ -288,8 +291,6 @@ def _cmd_train(args: argparse.Namespace) -> Result:
     model = build_model(spec, train_header.n_features, args.init_seed)
     _check_dataset(args, "valid_path", valid_header, model)
     result = fit(model, train_samples, valid_samples, cfg)
-
-    os.makedirs(args.out, exist_ok=True)
     return ([("out", weights_path, partial(save_weights, model)),
              ("out", log_path, _lines(result.log_lines))],
             [f"best valid mAP {result.best_map:.6f} at epoch {result.best_epoch}"
@@ -367,7 +368,13 @@ def run(argv: Sequence[str]) -> int:
         else:
             outputs, lines, code = args.run(args)
         _write(args, outputs)
-        sys.stdout.writelines(f"{line}\n" for line in lines)
+        try:
+            sys.stdout.writelines(f"{line}\n" for line in lines)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left early; every file is already in place
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit goes nowhere
+            os.close(devnull)
         return code
     except SystemExit as exit_request:
         return int(exit_request.code or 0)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Sequence, TextIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -288,22 +288,22 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
     return samples, truth
 
 
-def write_truth(truth: SynthTruth, sink: TextIO) -> None:
-    """Write the event-frame sidecar: ``id<TAB>class<TAB>f0,f1,...`` lines."""
-    for sample_id in truth:
-        for class_index, frames in sorted(truth[sample_id].items()):
-            frame_text = ",".join(str(t) for t in frames)
-            sink.write(f"{sample_id}\t{class_index}\t{frame_text}\n")
+def write_truth(truth: SynthTruth, sink: BinaryIO) -> int:
+    """Write the event-frame sidecar, UTF-8 ``id<TAB>class<TAB>f0,f1,...`` lines; returns bytes."""
+    lines = (f"{sample_id}\t{class_index}\t{','.join(map(str, frames))}\n"
+             for sample_id in truth for class_index, frames in sorted(truth[sample_id].items()))
+    return sum(sink.write(line.encode("utf-8")) for line in lines)
 
 
-def read_truth(source: TextIO) -> SynthTruth:
+def read_truth(source: BinaryIO) -> SynthTruth:
+    """Inverse of :func:`write_truth`; a line that is not a UTF-8 record names its number."""
     truth: SynthTruth = {}
     for line_no, line in enumerate(source, start=1):
-        line = line.rstrip("\n")
+        line = line.rstrip(b"\n")
         if not line:
             continue
         try:
-            sample_id, class_text, frames_text = line.split("\t")
+            sample_id, class_text, frames_text = line.decode("utf-8").split("\t")
             class_index = int(class_text)
             frames = tuple(int(t) for t in frames_text.split(","))
         except ValueError as exc:

@@ -388,6 +388,44 @@ def test_train_makes_no_output_directory_when_training_fails(tiny_dataset, tmp_p
     assert not fresh.exists()
 
 
+def test_train_checkpoint_linked_into_a_missing_directory_fails_before_training(
+        tiny_dataset, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(cli, "fit", never)
+    train, valid = tiny_dataset
+    out_dir, missing = tmp_path / "run", tmp_path / "missing"
+    out_dir.mkdir()
+    (out_dir / "model.wlam").symlink_to(missing / "model.wlam")
+    assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", valid,
+                   "--out", out_dir) == 2
+    assert (capsys.readouterr().err
+            == f"usage error: output directory does not exist: {os.path.realpath(missing)}\n")
+    assert os.listdir(tmp_path) == ["run"] and os.listdir(out_dir) == ["model.wlam"]
+
+
+def test_train_out_taken_by_a_file_after_training_fails_naming_the_checkpoint(
+        tiny_dataset, tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "run"
+    real_fit = cli.fit
+
+    def fit_then_take_out(*args, **kwargs):
+        result = real_fit(*args, **kwargs)
+        out_dir.write_bytes(b"not a directory\n")
+        return result
+
+    monkeypatch.setattr(cli, "fit", fit_then_take_out)
+    train, valid = tiny_dataset
+    assert run_cli("train", "--arch", "1-A", "--train", train, "--valid", valid, "--out", out_dir,
+                   "--epochs", 1, "--batch-size", 8, "--hidden-units", 6) == 1
+    printed = capsys.readouterr()
+    assert printed.err == f"error: --out {out_dir / 'model.wlam'}: File exists\n"
+    assert printed.out == ""
+    assert os.listdir(tmp_path) == ["run"]
+    assert out_dir.read_bytes() == b"not a directory\n"
+
+
 def test_train_empty_out_is_usage_error_before_reading(tiny_dataset, monkeypatch, capsys):
     def never(path):
         raise AssertionError("a dataset was read")
@@ -670,6 +708,25 @@ def test_missing_out_directory_fails_before_scoring(overfit_artifacts, tmp_path,
     printed = capsys.readouterr()
     assert "output directory does not exist" in printed.err
     assert printed.out == ""
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_out_linked_into_a_missing_directory_fails_before_scoring(overfit_artifacts, tmp_path,
+                                                                  monkeypatch, capsys, command):
+    data_path, model_path, _ = overfit_artifacts
+
+    def never(model, features):
+        raise AssertionError("predict_scores ran")
+
+    monkeypatch.setattr(cli, "predict_scores", never)
+    out, missing = tmp_path / "report.tsv", tmp_path / "missing"
+    out.symlink_to(missing / "report.tsv")
+    assert run_cli(command, "--model", model_path, "--data", data_path, "--out", out) == 2
+    printed = capsys.readouterr()
+    assert printed.err == ("usage error: output directory does not exist:"
+                           f" {os.path.realpath(missing)}\n")
+    assert printed.out == ""
+    assert os.listdir(tmp_path) == ["report.tsv"]
 
 
 @pytest.mark.parametrize("command,empty", [
@@ -1138,6 +1195,48 @@ def test_out_naming_a_pipe_is_written_in_place(overfit_artifacts, tmp_path, monk
     assert not reader.is_alive()
     assert received == [(tmp_path / "plain.tsv").read_bytes()]
     assert os.listdir(tmp_path) == ["plain.tsv"]
+
+
+def test_out_naming_the_file_stdout_is_redirected_to_gets_records_then_table(
+        overfit_artifacts, tmp_path, capsys):
+    assert evaluate_into(overfit_artifacts, tmp_path / "records.tsv") == 0
+    expected = (tmp_path / "records.tsv").read_bytes() + capsys.readouterr().out.encode("utf-8")
+    data_path, model_path, _ = overfit_artifacts
+    argv = [sys.executable, "-m", "wlat", "evaluate", "--model", str(model_path),
+            "--data", str(data_path), "--out", "/dev/stdout"]
+    piped = subprocess.run(argv, capture_output=True, env=python_env(), timeout=60)
+    assert piped.returncode == 0, piped.stderr
+    with open(tmp_path / "r.txt", "wb") as stdout:
+        done = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=python_env(),
+                              timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "r.txt").read_bytes() == piped.stdout == expected
+    assert sorted(os.listdir(tmp_path)) == ["r.txt", "records.tsv"]
+
+
+def run_into_closed_pipe(*argv):
+    """Run ``python -m wlat`` with stdout on a pipe whose read end is closed before it starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "wlat", *map(str, argv)], stdout=write_end,
+                              stderr=subprocess.PIPE, env=python_env(), timeout=60)
+    finally:
+        os.close(write_end)
+
+
+def test_a_closed_stdout_ends_the_command_quietly(overfit_artifacts):
+    data_path, model_path, _ = overfit_artifacts
+    done = run_into_closed_pipe("predict", "--model", model_path, "--data", data_path,
+                                "--threshold", 0)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_a_closed_stdout_as_out_is_a_failed_write(overfit_artifacts):
+    data_path, model_path, _ = overfit_artifacts
+    done = run_into_closed_pipe("predict", "--model", model_path, "--data", data_path,
+                                "--out", "/dev/stdout")
+    assert (done.returncode, done.stderr) == (1, b"error: --out /dev/stdout: Broken pipe\n")
 
 
 # Every command's base argv exits 0; the property test below overrides or drops up to

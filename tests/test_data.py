@@ -252,7 +252,7 @@ def test_corrupted_bytes_raise_only_format_errors(data):
 @given(st.lists(st.text(alphabet="s01-9\t,x \r\u00e9", max_size=12), max_size=5))
 def test_malformed_truth_lines_raise_only_format_errors(lines):
     try:
-        read_truth(io.StringIO("\n".join(["s000001\t2\t0,3", *lines]) + "\n"))
+        read_truth(io.BytesIO(("\n".join(["s000001\t2\t0,3", *lines]) + "\n").encode("utf-8")))
     except DatasetFormatError:
         pass
 
@@ -266,7 +266,7 @@ def test_generator_is_deterministic():
         assert np.array_equal(a.features, b.features)
 
 
-# sha256 of write_dataset bytes followed by write_truth text.  The generator's
+# sha256 of write_dataset bytes followed by write_truth bytes.  The generator's
 # output is a documented function of its config, so these digests hold across
 # any re-implementation that keeps the draw stream.
 GENERATOR_PINS = {
@@ -291,9 +291,9 @@ def test_generator_output_is_pinned(name):
     overrides, digest = GENERATOR_PINS[name]
     cfg = SynthConfig(**overrides)
     samples, truth = generate_synthetic(cfg)
-    text = io.StringIO()
-    write_truth(truth, text)
-    blob = write_bytes(samples, cfg.header()) + text.getvalue().encode("utf-8")
+    sink = io.BytesIO()
+    write_truth(truth, sink)
+    blob = write_bytes(samples, cfg.header()) + sink.getvalue()
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
@@ -427,14 +427,19 @@ def test_event_frames_carry_the_signal():
 
 def test_truth_sidecar_round_trip():
     _, samples, truth = small_dataset()
-    sink = io.StringIO()
-    write_truth(truth, sink)
-    assert read_truth(io.StringIO(sink.getvalue())) == truth
+    sink = io.BytesIO()
+    assert write_truth(truth, sink) == len(sink.getvalue())
+    assert read_truth(io.BytesIO(sink.getvalue())) == truth
 
 
 def test_truth_reader_rejects_garbage():
     with pytest.raises(DatasetFormatError, match="line 1"):
-        read_truth(io.StringIO("not a record\n"))
+        read_truth(io.BytesIO(b"not a record\n"))
+
+
+def test_truth_line_that_is_not_utf8_names_its_line():
+    with pytest.raises(DatasetFormatError, match="line 2"):
+        read_truth(io.BytesIO(b"s000001\t2\t0,3\ns\xff\t1\t2\n"))
 
 
 def fit_batches(record_batches, samples, batch_size, epochs=2):
