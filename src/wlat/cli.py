@@ -30,7 +30,7 @@ from .data import (
     write_dataset,
     write_truth,
 )
-from .metrics import evaluate, human_table, machine_lines
+from .metrics import evaluate, exclusion_reasons, human_table, machine_lines
 from .model import (
     PRESET_ARCHS,
     WeightFormatError,
@@ -136,9 +136,11 @@ def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Nam
         raise UsageError(f"config file {args.config} must hold a JSON object")
     if unknown := set(config) - set(args.flags):
         raise UsageError(f"config file {args.config}: unknown keys {sorted(unknown)}")
-    # non-strings keep their JSON spelling, so null, true or 2.5 meet the flag's type check
-    entries = [f"{args.flags[key]}={value if isinstance(value, str) else json.dumps(value)}"
-               for key, value in config.items()]
+    for key, value in config.items():  # a value is what can be typed: a string or a number
+        if value is None or isinstance(value, (bool, list, dict)):
+            raise UsageError(f"config file {args.config}: argument {args.flags[key]}: invalid"
+                             f" value {json.dumps(value)}")
+    entries = [f"{args.flags[key]}={value}" for key, value in config.items()]
     at = list(argv).index(args.command) + 1
     return parser.parse_args([*argv[:at], *entries, *argv[at:]])
 
@@ -298,13 +300,18 @@ def _cmd_train(args: argparse.Namespace) -> Result:
              f"checkpoint: {weights_path}", f"log: {log_path}"], 0)
 
 
-def _score_dataset(args: argparse.Namespace):
-    """Score a dataset with a checkpoint whose header must agree with any given flags."""
+def _read_data(args: argparse.Namespace):
+    """Check the files of ``evaluate`` or ``predict``, then read ``--data``: one clip or more."""
     _check_files(args, ("model", "data"), [("out", args.out)] if args.out is not None else ())
     _at_least(args, "hidden_units", 1)
     header, samples = _read(args, "data", read_dataset)
     if not samples:
         raise ValueError(f"--data {args.data} holds no clips to score")
+    return header, samples
+
+
+def _score(args: argparse.Namespace, header, samples) -> np.ndarray:
+    """Score clips with a checkpoint whose header must agree with any given flags."""
     model = _read(args, "model", load_weights)
     claimed = spec = model.spec
     if args.arch is not None:
@@ -314,12 +321,16 @@ def _score_dataset(args: argparse.Namespace):
     if claimed != spec:
         raise WeightFormatError(f"weight file holds {spec}, expected {claimed}")
     _check_dataset(args, "data", header, model)
-    return header, samples, predict_scores(model, stack_features(samples))
+    return predict_scores(model, stack_features(samples))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> Result:
-    header, samples, scores = _score_dataset(args)
-    report = evaluate(scores, stack_targets(samples, header.n_classes))
+    header, samples = _read_data(args)
+    targets = stack_targets(samples, header.n_classes)
+    if all(exclusion_reasons(targets)):  # the rule train applies to --valid
+        raise ValueError(f"--data {args.data} cannot be scored: no class has positives and"
+                         " negatives")
+    report = evaluate(_score(args, header, samples), targets)
     outputs = [("out", args.out, _lines(machine_lines(report)))] if args.out is not None else []
     return outputs, [human_table(report), f"mAP {report.mean_ap:.6f}"], 0
 
@@ -327,7 +338,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> Result:
 def _cmd_predict(args: argparse.Namespace) -> Result:
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
-    _, samples, scores = _score_dataset(args)
+    header, samples = _read_data(args)
+    scores = _score(args, header, samples)
     lines = [f"{sample.id}\t" + ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(hits))
              for sample, row, hits in zip(samples, scores, scores >= args.threshold)]
     return ([], lines, 0) if args.out is None else ([("out", args.out, _lines(lines))], [], 0)

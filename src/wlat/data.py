@@ -17,16 +17,18 @@ File format (all integers little-endian):
              row-major, label_count u16, label indices u16 each
 
 Features are stored at float32 precision and stay float32 in memory: a
-read clip is a read-only view of the bytes read, and the generator rounds
-its output to float32, so write -> read is exact.  The model widens them
-to float64 one batch or chunk at a time.  The generator draws clip by clip
-from one seeded stream but transforms the noise a block of clips at a time;
-the clips of a block share one float32 array.
+read clip is a read-only view of the bytes read, and no value float32 does
+not hold exactly is written, so write -> read is exact.  The model widens
+them to float64 one batch or chunk at a time.  The generator draws clip by
+clip from one seeded stream but transforms the noise a block of clips at a
+time; the clips of a block share one float32 array.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
@@ -47,6 +49,9 @@ MAX_U32 = 0xFFFFFFFF  # frame, feature and sample counts are u32 header fields
 # generate_synthetic transforms the noise uniforms of about this many bytes of
 # clips at once; its temporaries stay a few blocks, never the whole set twice.
 SYNTH_BLOCK_BYTES = 1 << 20
+
+_ID = re.compile("[^\t\r\n]*")  # no TAB, CR or LF: the separators of truth and predict records
+_TRUTH_RECORD = re.compile(f"({_ID.pattern})\t([0-9]+)\t([0-9]+(?:,[0-9]+)*)")  # id class frames
 
 
 class DatasetFormatError(ValueError):
@@ -81,8 +86,9 @@ class Sample:
     features: np.ndarray  # (n_frames, n_features), float32 when read or generated
     labels: tuple[int, ...]  # strictly increasing, each < n_classes
 
-    def validate(self, header: DatasetHeader) -> None:
-        if any(separator in self.id for separator in "\t\r\n"):
+    def validate(self, header: DatasetHeader) -> np.ndarray:
+        """Check the clip against ``header``; returns the float32 features it is stored as."""
+        if not _ID.fullmatch(self.id):
             raise DatasetFormatError(f"sample {self.id!r}: id holds a tab, CR or LF")
         shape = (header.n_frames, header.n_features)
         if self.features.shape != shape:
@@ -101,6 +107,13 @@ class Sample:
             )
         if len(self.labels) >= MAX_CLASSES:
             raise DatasetFormatError(f"sample {self.id!r}: {len(self.labels)} labels overflow u16")
+        if self.features.dtype == "<f4":
+            return self.features
+        with np.errstate(all="ignore"):  # a value the cast does not keep is refused, not warned of
+            stored = self.features.astype("<f4")
+            if np.array_equal(stored.astype(self.features.dtype), self.features):
+                return stored
+        raise DatasetFormatError(f"sample {self.id!r}: feature value not exact in float32")
 
 
 def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: BinaryIO) -> int:
@@ -112,20 +125,15 @@ def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: Binary
         raise DatasetFormatError(
             f"header says {header.n_samples} samples, got {len(samples)}"
         )
-    written = sink.write(
-        _HEADER_STRUCT.pack(
-            MAGIC, FORMAT_VERSION, header.n_frames, header.n_features,
-            header.n_classes, header.n_samples,
-        )
-    )
+    written = sink.write(_HEADER_STRUCT.pack(MAGIC, FORMAT_VERSION, header.n_frames,
+                                             header.n_features, header.n_classes, header.n_samples))
     for sample in samples:
-        sample.validate(header)
+        features = sample.validate(header)
         id_bytes = sample.id.encode("utf-8")
-        written += sink.write(struct.pack("<I", len(id_bytes)))
-        written += sink.write(id_bytes)
-        written += sink.write(np.ascontiguousarray(sample.features, dtype="<f4").tobytes())
-        written += sink.write(struct.pack("<H", len(sample.labels)))
-        written += sink.write(struct.pack(f"<{len(sample.labels)}H", *sample.labels))
+        written += sink.write(struct.pack("<I", len(id_bytes)) + id_bytes)
+        written += sink.write(features.tobytes())
+        labels = sample.labels
+        written += sink.write(struct.pack(f"<H{len(labels)}H", len(labels), *labels))
     return written
 
 
@@ -289,26 +297,28 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
 
 
 def write_truth(truth: SynthTruth, sink: BinaryIO) -> int:
-    """Write the event-frame sidecar, UTF-8 ``id<TAB>class<TAB>f0,f1,...`` lines; returns bytes."""
-    lines = (f"{sample_id}\t{class_index}\t{','.join(map(str, frames))}\n"
-             for sample_id in truth for class_index, frames in sorted(truth[sample_id].items()))
-    return sum(sink.write(line.encode("utf-8")) for line in lines)
+    """Write the event-frame sidecar, UTF-8 ``id<TAB>class<TAB>f0,f1,...`` lines; returns bytes.
+    Bytes that :func:`read_truth` refuses or reads as other than ``truth`` raise, unwritten."""
+    blob = "".join(f"{sample_id}\t{c}\t{','.join(map(str, frames))}\n" for sample_id in truth
+                   for c, frames in sorted(truth[sample_id].items())).encode("utf-8")
+    if read_truth(io.BytesIO(blob)) != truth:
+        raise DatasetFormatError("truth holds an id with no class, or a class or frame not an int")
+    return sink.write(blob)
 
 
 def read_truth(source: BinaryIO) -> SynthTruth:
-    """Inverse of :func:`write_truth`; a line that is not a UTF-8 record names its number."""
+    """Inverse of :func:`write_truth`; a line not a UTF-8 ``_TRUTH_RECORD`` names its number."""
     truth: SynthTruth = {}
     for line_no, line in enumerate(source, start=1):
         line = line.rstrip(b"\n")
-        if not line:
-            continue
         try:
-            sample_id, class_text, frames_text = line.decode("utf-8").split("\t")
-            class_index = int(class_text)
-            frames = tuple(int(t) for t in frames_text.split(","))
-        except ValueError as exc:
-            raise DatasetFormatError(f"bad truth record on line {line_no}: {line!r}") from exc
-        truth.setdefault(sample_id, {})[class_index] = frames
+            record = _TRUTH_RECORD.fullmatch(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            record = None
+        if record is None:
+            raise DatasetFormatError(f"bad truth record on line {line_no}: {line!r}")
+        sample_id, class_text, frames_text = record.groups()
+        truth.setdefault(sample_id, {})[int(class_text)] = tuple(map(int, frames_text.split(",")))
     return truth
 
 

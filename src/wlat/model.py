@@ -358,13 +358,22 @@ def model_grad_check(
     return error
 
 
+def _check_state(model: MultiLevelModel) -> MultiLevelModel:
+    """The ``.wlam`` array rule: values finite, running variances >= 0; a breach names its array."""
+    for name, arr in model.state_params().items():
+        if not np.isfinite(arr).all():
+            raise WeightFormatError(f"non-finite value in {name}")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise WeightFormatError(f"negative batch-norm variance in {name}")
+    return model
+
+
 def save_weights(model: MultiLevelModel, sink: BinaryIO) -> int:
-    """Serialize spec echo + state arrays; returns bytes written."""
-    spec = model.spec
-    written = sink.write(WEIGHTS_MAGIC)
-    written += sink.write(struct.pack("<2I", WEIGHTS_VERSION, spec.n_levels))
-    written += sink.write(struct.pack(f"<{spec.n_levels}I", *spec.block_depths))
-    written += sink.write(struct.pack("<3I", spec.hidden_units, spec.n_classes, model.input_dim))
+    """Serialize spec echo + state arrays, checked before any is written; returns bytes written."""
+    spec = _check_state(model).spec
+    header = (WEIGHTS_VERSION, spec.n_levels, *spec.block_depths, spec.hidden_units,
+              spec.n_classes, model.input_dim)
+    written = sink.write(WEIGHTS_MAGIC + struct.pack(f"<{len(header)}I", *header))
     for arr in model.state_params().values():
         written += sink.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return written
@@ -415,11 +424,7 @@ def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelMo
         raise WeightFormatError("trailing bytes after final parameter array")
     model = _assemble(stored, input_dim)
     values = np.frombuffer(blob, dtype="<f8", offset=offset)
-    for name, arr in model.state_params().items():
+    for arr in model.state_params().values():
         arr[...] = values[: arr.size].reshape(arr.shape)
         values = values[arr.size :]
-        if not np.isfinite(arr).all():
-            raise WeightFormatError(f"non-finite value in {name}")
-        if name.endswith(".running_var") and (arr < 0).any():
-            raise WeightFormatError(f"negative batch-norm variance in {name}")
-    return model
+    return _check_state(model)

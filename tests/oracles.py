@@ -5,13 +5,16 @@ code with the kernels they check; ``random_head`` and ``pool_clip`` build and
 call the real attention head.
 """
 
+import io
 import itertools
 import math
+import struct
 
 import numpy as np
 
 from wlat import nn
 from wlat.attention import AttentionHead, forward_batch
+from wlat.model import save_weights
 from wlat.rng import gaussian
 
 # Published (AUC, d-prime) operating points; the AUCs are rounded to four
@@ -37,6 +40,23 @@ def random_head(rng, width, n_classes):
     cls_weight = nn.glorot_uniform(rng, np.empty((width, n_classes)))
     return AttentionHead(nn.DenseLayer(att_weight, gaussian(rng, n_classes)),
                          nn.DenseLayer(cls_weight, gaussian(rng, n_classes)))
+
+
+def checkpoint_with(model, name, index, value):
+    """``model``'s checkpoint bytes with element ``index`` of array ``name`` set to ``value``
+    in the bytes, so it may be one ``save_weights`` refuses to write.  By the documented
+    layout: a header of ``4 * (n_levels + 6)`` bytes, then each array as float64, in
+    ``state_params`` order."""
+    buffer = io.BytesIO()
+    save_weights(model, buffer)
+    blob = bytearray(buffer.getvalue())
+    offset = 4 * (model.spec.n_levels + 6)
+    for key, arr in model.state_params().items():
+        if key == name:
+            struct.pack_into("<d", blob, offset + 8 * index, value)
+            return bytes(blob)
+        offset += 8 * arr.size
+    raise KeyError(name)
 
 
 def pool_clip(h, head):

@@ -34,6 +34,8 @@ from wlat.model import (
 )
 from wlat.train import TrainConfig
 
+from oracles import checkpoint_with
+
 
 def run_cli(*argv):
     return cli.run([str(a) for a in argv])
@@ -161,8 +163,11 @@ def test_gen_data_valid_flags_must_pair(tmp_path):
      "--out and --valid-out name the same file"),
     ((*GEN_FLAGS, "--truth-out", ""), 2, "--truth-out is an empty path"),
     ((*GEN_FLAGS, "--out", ""), 2, "--out is an empty path"),
+    ((*GEN_FLAGS, "--valid-truth-out", "v.truth"), 2, "--valid-truth-out needs --valid-out"),
+    (("--n-samples", 0), 1, "n_samples must be >= 1, got 0"),
 ], ids=["u16-class-limit", "u32-sample-limit", "missing-directory", "directory-output",
-        "same-file", "same-file-spelled-twice", "empty-truth-out", "empty-out"])
+        "same-file", "same-file-spelled-twice", "empty-truth-out", "empty-out",
+        "valid-truth-out-alone", "no-samples"])
 def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, capsys,
                                                      flags, code, message):
     def never(cfg):
@@ -249,6 +254,23 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, ke
     assert run_cli(command, "--config", config, "--out", tmp_path / "out") == 2
     assert f"argument {flag}: invalid" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"truth_out": None},
+    {"valid_out": False, "valid_samples": 1, "n_samples": 5},
+    {"truth_out": True},
+    {"truth_out": ["a.truth"]},
+    {"truth_out": {"path": "a.truth"}},
+], ids=["null", "false", "true", "array", "object"])
+def test_config_value_no_flag_can_take_is_usage_error_for_any_flag(tmp_path, monkeypatch,
+                                                                   capsys, config):
+    monkeypatch.chdir(tmp_path)
+    Path("recipe.json").write_text(json.dumps(config))
+    assert run_cli("gen-data", "--config", "recipe.json", "--out", "d.wlad") == 2
+    flag = "--" + next(key for key in config if key != "n_samples").replace("_", "-")
+    assert f"argument {flag}: invalid value" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["recipe.json"]
 
 
 @pytest.mark.parametrize("command,field", [
@@ -665,10 +687,8 @@ def test_non_finite_checkpoint_fails_before_scoring(wide_checkpoint, tmp_path, m
     data_path, model_path = wide_checkpoint
     with open(model_path, "rb") as handle:
         model = load_weights(handle)
-    model.out.bias[1] = np.nan
     poisoned = tmp_path / "nan.wlam"
-    with open(poisoned, "wb") as handle:
-        save_weights(model, handle)
+    poisoned.write_bytes(checkpoint_with(model, "out.bias", 1, np.nan))
 
     def never(model, features):
         raise AssertionError("predict_scores ran")
@@ -763,6 +783,31 @@ def test_dataset_without_clips_fails_before_reading_the_checkpoint(tmp_path, mon
     printed = capsys.readouterr()
     assert f"--data {empty} holds no clips to score" in printed.err
     assert printed.out == ""
+
+
+def test_evaluate_refuses_a_set_no_class_can_be_scored_before_reading_the_checkpoint(
+        wide_checkpoint, tmp_path, monkeypatch, capsys):
+    _, model_path = wide_checkpoint
+    one = tmp_path / "one.wlad"
+    assert run_cli("gen-data", "--n-classes", 5, "--n-samples", 1, "--n-frames", 4,
+                   "--n-features", 6, "--out", one) == 0
+    # predict needs no labels, and train refuses the same set as --valid
+    assert run_cli("predict", "--model", model_path, "--data", one) == 0
+    assert run_cli("train", "--arch", "1-A", "--hidden-units", 4, "--train", one,
+                   "--valid", one, "--out", tmp_path / "run") == 1
+    assert "validation set cannot be scored" in capsys.readouterr().err
+
+    def never(handle):
+        raise AssertionError("the checkpoint was read")
+
+    monkeypatch.setattr(cli, "load_weights", never)
+    report = tmp_path / "report.tsv"
+    assert run_cli("evaluate", "--model", model_path, "--data", one, "--out", report) == 1
+    printed = capsys.readouterr()
+    assert printed.err == (f"error: --data {one} cannot be scored: no class has positives"
+                           " and negatives\n")
+    assert printed.out == ""
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command,flag,link", [
@@ -863,10 +908,8 @@ def test_negative_running_variance_fails_before_scoring(wide_checkpoint, tmp_pat
     data_path, model_path = wide_checkpoint
     with open(model_path, "rb") as handle:
         model = load_weights(handle)
-    model.state_params()["block0.layer0.running_var"][3] = -1.0
     poisoned = tmp_path / "negative.wlam"
-    with open(poisoned, "wb") as handle:
-        save_weights(model, handle)
+    poisoned.write_bytes(checkpoint_with(model, "block0.layer0.running_var", 3, -1.0))
 
     def never(model, features):
         raise AssertionError("predict_scores ran")

@@ -224,6 +224,84 @@ def test_id_holding_a_separator_is_rejected(sample_id):
         read_dataset(io.BytesIO(raw.replace(stand_in.encode(), sample_id.encode())))
 
 
+@pytest.mark.parametrize("value", [1e39, -3.5e38, 1e-46, 1e-40, 0.1])
+def test_clip_float32_does_not_hold_exactly_is_refused_without_warning(value):
+    # beyond float32's range, below its smallest subnormal, a subnormal it rounds, and a
+    # value between two float32s
+    header = DatasetHeader(1, 2, 2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetFormatError,
+                           match="sample 'a': feature value not exact in float32"):
+            write_dataset([Sample("a", np.array([[value, 1.0]]), (0,))], header, io.BytesIO())
+
+
+def test_clip_of_another_shape_is_refused():
+    header = DatasetHeader(2, 3, 4, 1)
+    with pytest.raises(DatasetFormatError, match=re.escape("feature shape (3, 2) != (2, 3)")):
+        write_dataset([Sample("x", np.zeros((3, 2), np.float32), ())], header, io.BytesIO())
+    # on read a clip has the header's shape, so one written as 3 x 3 leaves bytes over
+    raw = bytearray(write_bytes([Sample("x", np.zeros((3, 3), np.float32), ())],
+                                DatasetHeader(3, 3, 4, 1)))
+    raw[8:12] = (2).to_bytes(4, "little")  # n_frames
+    with pytest.raises(DatasetFormatError, match="12 trailing bytes"):
+        read_dataset(io.BytesIO(bytes(raw)))
+
+
+def test_labels_not_strictly_increasing_are_refused_on_write_and_read():
+    header = DatasetHeader(1, 1, 4, 1)
+    features = np.zeros((1, 1), np.float32)
+    message = re.escape("sample 'x': labels (2, 1) not strictly increasing")
+    with pytest.raises(DatasetFormatError, match=message):
+        write_dataset([Sample("x", features, (2, 1))], header, io.BytesIO())
+    raw = write_bytes([Sample("x", features, (1, 2))], header)
+    with pytest.raises(DatasetFormatError, match=message):
+        read_dataset(io.BytesIO(raw[:-4] + struct.pack("<2H", 2, 1)))
+
+
+# Any float32 value; float64 values float32 cannot hold (beyond its range, below its
+# smallest subnormal, between two float32s), ones it holds (subnormals and signed zeros
+# included) and non-finite ones; and any float64 value.
+FEATURE_VALUES = (st.floats(width=32)
+                  | st.sampled_from([1e39, -3.5e38, 3.4028234663852886e38, 1e-46, 2.0**-149,
+                                     1e-40, 0.1, 0.5, -0.0, 0.0, np.nan, np.inf, -np.inf])
+                  | st.floats())
+# Ids without a TAB, CR or LF, and ids holding one.
+SAMPLE_IDS = st.text("ab\u00e9 ,0", max_size=3) | st.sampled_from(["a\tb", "a\rb", "a\nb"])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_written_dataset_reads_back_bitwise_or_is_refused(data):
+    shape = n_frames, n_features = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    n_classes = data.draw(st.integers(1, 3))
+    labels = (st.lists(st.integers(0, n_classes - 1), unique=True, max_size=3).map(sorted)
+              | st.lists(st.integers(-1, n_classes), max_size=3))  # valid ones, and any
+    samples = []
+    for _ in range(data.draw(st.integers(1, 2), label="n_samples")):
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        values = FEATURE_VALUES if dtype is np.float64 else st.floats(width=32)
+        values = data.draw(st.lists(values, min_size=n_frames * n_features,
+                                    max_size=n_frames * n_features), label="features")
+        samples.append(Sample(data.draw(SAMPLE_IDS, label="id"),
+                              np.array(values, dtype).reshape(shape),
+                              tuple(data.draw(labels, label="labels"))))
+    header = DatasetHeader(n_frames, n_features, n_classes, len(samples))
+    sink = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            write_dataset(samples, header, sink)
+        except DatasetFormatError:
+            return
+    loaded_header, loaded = read_dataset(io.BytesIO(sink.getvalue()))
+    assert loaded_header == header
+    for original, copy in zip(samples, loaded, strict=True):
+        assert (copy.id, copy.labels) == (original.id, original.labels)
+        assert copy.features.astype(original.features.dtype).tobytes() == \
+            original.features.tobytes()
+
+
 def test_label_count_must_fit_u16():
     header = DatasetHeader(1, 1, 65536, 1)
     sample = Sample("x", np.zeros((1, 1)), tuple(range(65536)))
@@ -435,6 +513,45 @@ def test_truth_sidecar_round_trip():
 def test_truth_reader_rejects_garbage():
     with pytest.raises(DatasetFormatError, match="line 1"):
         read_truth(io.BytesIO(b"not a record\n"))
+
+
+@pytest.mark.parametrize("truth,line", [
+    ({"a\tb": {0: (1,)}}, b"a\tb\t0\t1\n"),
+    ({"a\rb": {0: (1,)}}, b"a\rb\t0\t1\n"),
+    ({"a": {0: ()}}, b"a\t0\t\n"),
+    ({"a": {-2: (3,)}}, b"a\t-2\t3\n"),
+    ({"a": {2: (-3,)}}, b"a\t2\t-3\n"),
+    ({"a": {2: (1, -3)}}, b"a\t2\t1,-3\n"),
+], ids=["tab-in-id", "cr-in-id", "no-frame", "negative-class", "negative-frame",
+        "negative-second-frame"])
+def test_truth_outside_the_record_grammar_is_refused_both_ways(truth, line):
+    sink = io.BytesIO()
+    with pytest.raises(DatasetFormatError):
+        write_truth(truth, sink)
+    assert sink.getvalue() == b""
+    with pytest.raises(DatasetFormatError, match="bad truth record on line 1"):
+        read_truth(io.BytesIO(line))
+
+
+def test_truth_of_an_id_with_no_class_is_refused():
+    with pytest.raises(DatasetFormatError, match="an id with no class"):
+        write_truth({"a": {0: (1,)}, "b": {}}, io.BytesIO())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.dictionaries(SAMPLE_IDS, st.dictionaries(
+    st.integers(-1, 5),
+    (st.lists(st.integers(0, 9), min_size=1, max_size=3)  # frames, then any, empty included
+     | st.lists(st.integers(-2, 9), max_size=3)).map(tuple),
+    max_size=2), max_size=2))
+def test_a_written_truth_reads_back_equal_or_is_refused(truth):
+    sink = io.BytesIO()
+    try:
+        write_truth(truth, sink)
+    except DatasetFormatError:
+        assert sink.getvalue() == b""
+        return
+    assert read_truth(io.BytesIO(sink.getvalue())) == truth
 
 
 def test_truth_line_that_is_not_utf8_names_its_line():

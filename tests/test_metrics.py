@@ -244,6 +244,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(np.zeros((4, 3)), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("scores,truth,message", [
+        ([[0.5, np.nan], [0.5, 0.5]], [[1, 0], [0, 1]], "scores must be finite"),
+        ([[0.5, np.inf], [0.5, 0.5]], [[1, 0], [0, 1]], "scores must be finite"),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, 2]], "truth must be a 0/1 multi-hot matrix"),
+        ([[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, 0.5]], "truth must be a 0/1 multi-hot matrix"),
+    ], ids=["nan-score", "infinite-score", "truth-two", "truth-half"])
+    def test_bad_scores_or_truth_rejected(self, scores, truth, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate(np.array(scores), np.array(truth))
+
     def test_machine_lines_format(self):
         truth = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float)
         scores = new_rng(6).random((4, 2))

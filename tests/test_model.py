@@ -26,6 +26,8 @@ from wlat.model import (
 from wlat.nn import INFER, TRAIN
 from wlat.rng import gaussian, new_rng
 
+from oracles import checkpoint_with
+
 TOY = dict(hidden_units=5, n_classes=3)
 
 
@@ -340,13 +342,55 @@ class TestWeightFiles:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected_naming_its_array(self, value):
         model = toy_model(seed=30)
-        model.state_params()["block1.layer0.running_var"][2] = value
-        buffer = io.BytesIO()
-        save_weights(model, buffer)
-        buffer.seek(0)
+        buffer = io.BytesIO(checkpoint_with(model, "block1.layer0.running_var", 2, value))
         with pytest.raises(WeightFormatError) as info:
             load_weights(buffer)
         assert str(info.value) == "non-finite value in block1.layer0.running_var"
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("out.bias", np.nan, "non-finite value in out.bias"),
+        ("block0.layer0.running_var", -1.0,
+         "negative batch-norm variance in block0.layer0.running_var"),
+    ], ids=["nan", "negative-variance"])
+    def test_save_refuses_what_load_refuses_before_writing(self, name, value, message):
+        model = toy_model(seed=32)
+        model.state_params()[name][0] = value
+        sink = io.BytesIO()
+        with pytest.raises(WeightFormatError) as info:
+            save_weights(model, sink)
+        assert str(info.value) == message
+        assert sink.getvalue() == b""
+
+    # One value of one array: non-finite, a negative or a signed-zero variance, subnormal
+    # and extreme values, or any float64.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_saved_checkpoint_loads_back_bitwise_or_is_refused(self, data):
+        model = toy_model(seed=31)
+        params = model.state_params()
+        name = data.draw(st.sampled_from(sorted(params)), label="array")
+        index = data.draw(st.integers(0, params[name].size - 1), label="index")
+        params[name].flat[index] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -5e-324, -0.0, 5e-324, 1.8e308])
+            | st.floats(), label="value")
+        sink = io.BytesIO()
+        try:
+            save_weights(model, sink)
+        except WeightFormatError as err:
+            assert str(err).endswith(f" in {name}") and sink.getvalue() == b""
+            return
+        loaded = load_weights(io.BytesIO(sink.getvalue())).state_params()
+        for key, arr in params.items():
+            assert loaded[key].tobytes() == arr.tobytes(), key
+
+    def test_header_input_dim_zero_rejected(self):
+        buffer = io.BytesIO()
+        save_weights(toy_model(), buffer)
+        blob = bytearray(buffer.getvalue())
+        # header: magic, version, n_levels=2, two depths, hidden_units, n_classes, input_dim
+        struct.pack_into("<I", blob, 28, 0)
+        with pytest.raises(WeightFormatError, match="header input_dim must be >= 1"):
+            load_weights(io.BytesIO(bytes(blob)))
 
     # A loader that allocated before checking sizes would peak near 2 MB at
     # 300 units, so the bound catches it without risking a huge allocation.
