@@ -281,15 +281,14 @@ def _cmd_gen_data(args: argparse.Namespace) -> Result:
 def _cmd_train(args: argparse.Namespace) -> Result:
     cfg = _config(TrainConfig, args)
     _at_least(args, "init_seed", 0)
+    _at_least(args, "hidden_units", 1)
     weights_path, log_path = (os.path.join(args.out, f) for f in ("model.wlam", "train_log.tsv"))
     _check_files(args, ("train_path", "valid_path"), (("out", weights_path), ("out", log_path)),
                  args.out)
-    _at_least(args, "hidden_units", 1)
-    spec = parse_arch(cfg.arch, args.hidden_units, 1)  # n_classes comes from --train
 
     train_header, train_samples = _read(args, "train_path", read_dataset)
     valid_header, valid_samples = _read(args, "valid_path", read_dataset)
-    spec = replace(spec, n_classes=train_header.n_classes)
+    spec = parse_arch(cfg.arch, args.hidden_units, train_header.n_classes)
     model = build_model(spec, train_header.n_features, args.init_seed)
     _check_dataset(args, "valid_path", valid_header, model)
     result = fit(model, train_samples, valid_samples, cfg)
@@ -301,23 +300,23 @@ def _cmd_train(args: argparse.Namespace) -> Result:
 
 
 def _read_data(args: argparse.Namespace):
-    """Check the files of ``evaluate`` or ``predict``, then read ``--data``: one clip or more."""
-    _check_files(args, ("model", "data"), [("out", args.out)] if args.out is not None else ())
+    """Check the model flags, then the files of ``evaluate`` or ``predict``, then read
+    ``--data``: one clip or more.  Returns its header and clips, and ``--arch``'s depths."""
     _at_least(args, "hidden_units", 1)
+    depths = None if args.arch is None else parse_arch(args.arch, 1, 1).block_depths
+    _check_files(args, ("model", "data"), [("out", args.out)] if args.out is not None else ())
     header, samples = _read(args, "data", read_dataset)
     if not samples:
         raise ValueError(f"--data {args.data} holds no clips to score")
-    return header, samples
+    return header, samples, depths
 
 
-def _score(args: argparse.Namespace, header, samples) -> np.ndarray:
+def _score(args: argparse.Namespace, header, samples, depths) -> np.ndarray:
     """Score clips with a checkpoint whose header must agree with any given flags."""
     model = _read(args, "model", load_weights)
-    claimed = spec = model.spec
-    if args.arch is not None:
-        claimed = parse_arch(args.arch, spec.hidden_units, spec.n_classes)
-    if args.hidden_units is not None:
-        claimed = replace(claimed, hidden_units=args.hidden_units)
+    spec = model.spec
+    claimed = replace(spec, block_depths=depths or spec.block_depths,
+                      hidden_units=args.hidden_units or spec.hidden_units)
     if claimed != spec:
         raise WeightFormatError(f"weight file holds {spec}, expected {claimed}")
     _check_dataset(args, "data", header, model)
@@ -325,12 +324,12 @@ def _score(args: argparse.Namespace, header, samples) -> np.ndarray:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> Result:
-    header, samples = _read_data(args)
+    header, samples, depths = _read_data(args)
     targets = stack_targets(samples, header.n_classes)
     if all(exclusion_reasons(targets)):  # the rule train applies to --valid
         raise ValueError(f"--data {args.data} cannot be scored: no class has positives and"
                          " negatives")
-    report = evaluate(_score(args, header, samples), targets)
+    report = evaluate(_score(args, header, samples, depths), targets)
     outputs = [("out", args.out, _lines(machine_lines(report)))] if args.out is not None else []
     return outputs, [human_table(report), f"mAP {report.mean_ap:.6f}"], 0
 
@@ -338,8 +337,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> Result:
 def _cmd_predict(args: argparse.Namespace) -> Result:
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
-    header, samples = _read_data(args)
-    scores = _score(args, header, samples)
+    header, samples, depths = _read_data(args)
+    scores = _score(args, header, samples, depths)
     lines = [f"{sample.id}\t" + ",".join(f"{k}:{row[k]:.6f}" for k in np.flatnonzero(hits))
              for sample, row, hits in zip(samples, scores, scores >= args.threshold)]
     return ([], lines, 0) if args.out is None else ([("out", args.out, _lines(lines))], [], 0)

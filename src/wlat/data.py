@@ -116,6 +116,14 @@ class Sample:
         raise DatasetFormatError(f"sample {self.id!r}: feature value not exact in float32")
 
 
+def _id_bytes(sample_id: str) -> bytes:
+    """``sample_id`` as UTF-8; a lone surrogate is refused in the reader's words."""
+    try:
+        return sample_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DatasetFormatError(f"sample {sample_id!r}: id is not valid UTF-8") from None
+
+
 def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: BinaryIO) -> int:
     """Serialize ``samples`` under ``header``; returns bytes written.
 
@@ -129,7 +137,7 @@ def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: Binary
                                              header.n_features, header.n_classes, header.n_samples))
     for sample in samples:
         features = sample.validate(header)
-        id_bytes = sample.id.encode("utf-8")
+        id_bytes = _id_bytes(sample.id)
         written += sink.write(struct.pack("<I", len(id_bytes)) + id_bytes)
         written += sink.write(features.tobytes())
         labels = sample.labels
@@ -299,6 +307,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
 def write_truth(truth: SynthTruth, sink: BinaryIO) -> int:
     """Write the event-frame sidecar, UTF-8 ``id<TAB>class<TAB>f0,f1,...`` lines; returns bytes.
     Bytes that :func:`read_truth` refuses or reads as other than ``truth`` raise, unwritten."""
+    for sample_id in truth:
+        _id_bytes(f"{sample_id}")
     blob = "".join(f"{sample_id}\t{c}\t{','.join(map(str, frames))}\n" for sample_id in truth
                    for c, frames in sorted(truth[sample_id].items())).encode("utf-8")
     if read_truth(io.BytesIO(blob)) != truth:
@@ -307,7 +317,8 @@ def write_truth(truth: SynthTruth, sink: BinaryIO) -> int:
 
 
 def read_truth(source: BinaryIO) -> SynthTruth:
-    """Inverse of :func:`write_truth`; a line not a UTF-8 ``_TRUTH_RECORD`` names its number."""
+    """Inverse of :func:`write_truth`; a line not a UTF-8 ``_TRUTH_RECORD``, or repeating an
+    (id, class) pair, names its number."""
     truth: SynthTruth = {}
     for line_no, line in enumerate(source, start=1):
         line = line.rstrip(b"\n")
@@ -318,7 +329,11 @@ def read_truth(source: BinaryIO) -> SynthTruth:
         if record is None:
             raise DatasetFormatError(f"bad truth record on line {line_no}: {line!r}")
         sample_id, class_text, frames_text = record.groups()
-        truth.setdefault(sample_id, {})[int(class_text)] = tuple(map(int, frames_text.split(",")))
+        events, class_index = truth.setdefault(sample_id, {}), int(class_text)
+        if class_index in events:
+            raise DatasetFormatError(f"repeated truth record on line {line_no}: id {sample_id!r}"
+                                     f" class {class_index}")
+        events[class_index] = tuple(map(int, frames_text.split(",")))
     return truth
 
 

@@ -111,6 +111,7 @@ class TrainConfig:
     patience: int = 0  # 0 disables early stopping
 
     def __post_init__(self) -> None:
+        parse_arch(self.arch, 1, 1)  # the grammar only: fit checks it against the model
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr >= 0):

@@ -949,7 +949,10 @@ def test_negative_seed_names_its_setting_before_any_work(tiny_dataset, tmp_path,
     (("train", "--arch", "1-A", "--hidden-units", 0), "--hidden-units must be >= 1, got 0"),
     (("evaluate", "--hidden-units", 0), "--hidden-units must be >= 1, got 0"),
     (("predict", "--hidden-units", -3), "--hidden-units must be >= 1, got -3"),
-], ids=["train-arch", "train-hidden-units", "evaluate-hidden-units", "predict-hidden-units"])
+    (("evaluate", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
+    (("predict", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
+], ids=["train-arch", "train-hidden-units", "evaluate-hidden-units", "predict-hidden-units",
+        "evaluate-arch", "predict-arch"])
 def test_model_flags_are_checked_before_any_input_is_read(tiny_dataset, wide_checkpoint, tmp_path,
                                                           monkeypatch, capsys, argv, message):
     def never(*args, **kwargs):
@@ -967,6 +970,30 @@ def test_model_flags_are_checked_before_any_input_is_read(tiny_dataset, wide_che
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("train", "--arch", "1-A", "--hidden-units", 0), "--hidden-units must be >= 1, got 0"),
+    (("train", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
+    (("evaluate", "--hidden-units", 0), "--hidden-units must be >= 1, got 0"),
+    (("predict", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
+], ids=["train-hidden-units", "train-arch", "evaluate-hidden-units", "predict-arch"])
+def test_flags_are_checked_before_any_path(tiny_dataset, wide_checkpoint, tmp_path, monkeypatch,
+                                           capsys, argv, message):
+    # every output path below breaks the file rule; a bad flag must be named first
+    monkeypatch.chdir(tmp_path)
+    for name, source in zip(("t.wlad", "v.wlad", "d.wlad", "m.wlam"),
+                            (*tiny_dataset, *wide_checkpoint)):
+        shutil.copyfile(source, name)
+    (tmp_path / "run").mkdir()
+    if argv[0] == "train":
+        argv += ("--train", "t.wlad", "--valid", "v.wlad", "--out", "t.wlad")
+    else:
+        argv += ("--model", "m.wlam", "--data", "d.wlad", "--out", "run")
+    before = snapshot(tmp_path)
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert snapshot(tmp_path) == before and os.listdir("run") == []
 
 
 def test_required_flags_may_come_from_the_config_file(tiny_dataset, tmp_path):

@@ -554,6 +554,28 @@ def test_a_written_truth_reads_back_equal_or_is_refused(truth):
     assert read_truth(io.BytesIO(sink.getvalue())) == truth
 
 
+def test_id_that_is_not_utf8_is_refused_by_both_writers():
+    sample_id = b"a\x80".decode("utf-8", "surrogateescape")  # a lone surrogate, 'a\udc80'
+    message = re.escape(f"sample {sample_id!r}: id is not valid UTF-8")
+    features = np.zeros((1, 1), np.float32)
+    with pytest.raises(DatasetFormatError, match=message):
+        write_dataset([Sample(sample_id, features, (0,))], DatasetHeader(1, 1, 2, 1), io.BytesIO())
+    sink = io.BytesIO()
+    with pytest.raises(DatasetFormatError, match=message):
+        write_truth({"s": {0: (1,)}, sample_id: {0: (1,)}}, sink)
+    assert sink.getvalue() == b""
+
+
+@pytest.mark.parametrize("blob,line", [
+    (b"a\t0\t1\na\t0\t2\n", 2),
+    (b"a\t0\t1\nb\t0\t1\na\t1\t1\na\t00\t1\n", 4),
+], ids=["adjacent", "spelled-otherwise"])
+def test_repeated_truth_record_names_its_line(blob, line):
+    with pytest.raises(DatasetFormatError, match=f"repeated truth record on line {line}: id 'a'"
+                                                 " class 0"):
+        read_truth(io.BytesIO(blob))
+
+
 def test_truth_line_that_is_not_utf8_names_its_line():
     with pytest.raises(DatasetFormatError, match="line 2"):
         read_truth(io.BytesIO(b"s000001\t2\t0,3\ns\xff\t1\t2\n"))

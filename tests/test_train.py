@@ -132,6 +132,8 @@ class TestTrainConfig:
             dict(epochs=0),
             dict(eval_every=0),
             dict(patience=-1),
+            dict(arch="2-B"),
+            dict(arch="0-A"),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
