@@ -5,8 +5,9 @@ A dataset is a set of clips; each clip carries a fixed-shape feature matrix
 the set of classes present somewhere in the clip, with no frame-level
 localisation.  The synthetic generator plants per-class prototype vectors
 on a few random frames per clip and records where it planted them, so
-tests can check that a trained model's attention actually lands on the
-frames that carry the signal.
+tests can check that a trained model's attention concentrates on frames
+holding some planted event (not on class k's own frames: the final layer
+mixes the heads' columns, so a head's column k is not class k).
 
 File format (all integers little-endian):
 
@@ -127,20 +128,18 @@ def _id_bytes(sample_id: str) -> bytes:
 def write_dataset(samples: Sequence[Sample], header: DatasetHeader, sink: BinaryIO) -> int:
     """Serialize ``samples`` under ``header``; returns bytes written.
 
-    Byte-for-byte deterministic for identical input.
+    Byte-for-byte deterministic; every clip is checked before a byte is written.
     """
     if header.n_samples != len(samples):
         raise DatasetFormatError(
             f"header says {header.n_samples} samples, got {len(samples)}"
         )
+    records = [(sample.validate(header), _id_bytes(sample.id), sample.labels) for sample in samples]
     written = sink.write(_HEADER_STRUCT.pack(MAGIC, FORMAT_VERSION, header.n_frames,
                                              header.n_features, header.n_classes, header.n_samples))
-    for sample in samples:
-        features = sample.validate(header)
-        id_bytes = _id_bytes(sample.id)
+    for features, id_bytes, labels in records:
         written += sink.write(struct.pack("<I", len(id_bytes)) + id_bytes)
         written += sink.write(features.tobytes())
-        labels = sample.labels
         written += sink.write(struct.pack(f"<H{len(labels)}H", len(labels), *labels))
     return written
 
@@ -230,6 +229,9 @@ class SynthConfig:
                 f"n_classes, got [{self.labels_per_sample_min}, "
                 f"{self.labels_per_sample_max}] with n_classes={self.n_classes}"
             )
+        if self.labels_per_sample_max >= MAX_CLASSES:
+            raise ValueError(f"labels_per_sample_max {self.labels_per_sample_max} overflows the u16"
+                             f" label count: at most {MAX_CLASSES - 1} labels per clip")
         if not (math.isfinite(self.signal_scale) and self.signal_scale > 0):
             raise ValueError(f"signal_scale must be finite and > 0, got {self.signal_scale}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

@@ -322,17 +322,18 @@ def backward(
 
 
 def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
-    """Infer-mode class probabilities (n_clips, n_classes).
+    """Infer-mode class probabilities (n_clips, n_classes); a score not finite raises ValueError.
 
     Clips are scored in chunks of about :data:`INFER_CHUNK_ROWS` frame
     rows (at least one clip), so memory stays bounded by one chunk.
     """
     step = max(1, INFER_CHUNK_ROWS // max(1, features.shape[1]))
-    outputs = [
-        forward_cached(model, features[start : start + step], INFER).z
-        for start in range(0, features.shape[0], step)
-    ]
-    return np.concatenate(outputs, axis=0)
+    with np.errstate(all="ignore"):  # a model that overflows is refused below, not warned of
+        scores = np.concatenate([forward_cached(model, features[start : start + step], INFER).z
+                                 for start in range(0, features.shape[0], step)])
+    if not (finite := np.isfinite(scores).all(axis=1)).all():
+        raise ValueError(f"clip {np.argmin(finite)} of {len(scores)} has a score that is not finite")
+    return scores
 
 
 def model_grad_check(

@@ -165,9 +165,12 @@ def test_gen_data_valid_flags_must_pair(tmp_path):
     ((*GEN_FLAGS, "--out", ""), 2, "--out is an empty path"),
     ((*GEN_FLAGS, "--valid-truth-out", "v.truth"), 2, "--valid-truth-out needs --valid-out"),
     (("--n-samples", 0), 1, "n_samples must be >= 1, got 0"),
+    (("--n-samples", 1, "--n-classes", 65536, "--labels-per-sample-min", 65536,
+      "--labels-per-sample-max", 65536, "--n-frames", 1, "--n-features", 1,
+      "--event-frames-max", 1), 1, "labels_per_sample_max 65536 overflows the u16 label count"),
 ], ids=["u16-class-limit", "u32-sample-limit", "missing-directory", "directory-output",
         "same-file", "same-file-spelled-twice", "empty-truth-out", "empty-out",
-        "valid-truth-out-alone", "no-samples"])
+        "valid-truth-out-alone", "no-samples", "u16-label-count"])
 def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, capsys,
                                                      flags, code, message):
     def never(cfg):
@@ -698,6 +701,30 @@ def test_non_finite_checkpoint_fails_before_scoring(wide_checkpoint, tmp_path, m
     printed = capsys.readouterr()
     assert f"--model {poisoned}: non-finite value in out.bias" in printed.err
     assert printed.out == ""
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_checkpoint_that_overflows_is_one_error_line(wide_checkpoint, tmp_path, command, out):
+    data_path, model_path = wide_checkpoint
+    with open(model_path, "rb") as handle:
+        model = load_weights(handle)
+    model.blocks[0][0].dense.weight[...] = 1.7e308  # finite, so the checkpoint loads
+    overflowing = tmp_path / "overflow.wlam"
+    with open(overflowing, "wb") as handle:
+        save_weights(model, handle)
+    out_path = tmp_path / "out.tsv"
+    out_path.write_bytes(b"keep me")
+    argv = [command, "--model", overflowing, "--data", data_path,
+            *(["--threshold", 0] if command == "predict" else []),
+            *(["--out", out_path] if out else [])]
+    done = subprocess.run([sys.executable, "-m", "wlat", *map(str, argv)], capture_output=True,
+                          text=True, env=python_env(), timeout=60)
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: clip ") and "not finite" in done.stderr
+    assert done.stdout == ""
+    assert out_path.read_bytes() == b"keep me"
 
 
 @pytest.mark.parametrize("field, value", [("--n-classes", 4), ("--n-features", 7)])

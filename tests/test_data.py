@@ -293,6 +293,7 @@ def test_a_written_dataset_reads_back_bitwise_or_is_refused(data):
         try:
             write_dataset(samples, header, sink)
         except DatasetFormatError:
+            assert sink.getvalue() == b""
             return
     loaded_header, loaded = read_dataset(io.BytesIO(sink.getvalue()))
     assert loaded_header == header
@@ -300,6 +301,20 @@ def test_a_written_dataset_reads_back_bitwise_or_is_refused(data):
         assert (copy.id, copy.labels) == (original.id, original.labels)
         assert copy.features.astype(original.features.dtype).tobytes() == \
             original.features.tobytes()
+
+
+@pytest.mark.parametrize("second", [
+    Sample("b\udc80", np.zeros((1, 1), np.float32), (0,)),
+    Sample("b\tc", np.zeros((1, 1), np.float32), (0,)),
+    Sample("b", np.full((1, 1), np.nan, np.float32), (0,)),
+    Sample("b", np.zeros((1, 1), np.float32), (2,)),
+], ids=["id-not-utf8", "id-with-tab", "non-finite-feature", "label-out-of-range"])
+def test_a_refused_later_clip_leaves_the_sink_empty(second):
+    first = Sample("a", np.zeros((1, 1), np.float32), (0,))
+    sink = io.BytesIO()
+    with pytest.raises(DatasetFormatError, match="^sample 'b"):
+        write_dataset([first, second], DatasetHeader(1, 1, 2, 2), sink)
+    assert sink.getvalue() == b""
 
 
 def test_label_count_must_fit_u16():

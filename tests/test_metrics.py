@@ -249,7 +249,10 @@ class TestEvaluate:
         ([[0.5, np.inf], [0.5, 0.5]], [[1, 0], [0, 1]], "scores must be finite"),
         ([[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, 2]], "truth must be a 0/1 multi-hot matrix"),
         ([[0.5, 0.5], [0.5, 0.5]], [[1, 0], [0, 0.5]], "truth must be a 0/1 multi-hot matrix"),
-    ], ids=["nan-score", "infinite-score", "truth-two", "truth-half"])
+        (np.empty((0, 2)), np.empty((0, 2)), "scores must be a nonempty 2-D array"),
+        ([0.5, 0.5], [1, 0], "scores must be a nonempty 2-D array"),
+    ], ids=["nan-score", "infinite-score", "truth-two", "truth-half", "empty-scores",
+            "one-dimensional-scores"])
     def test_bad_scores_or_truth_rejected(self, scores, truth, message):
         with pytest.raises(ValueError, match=message):
             evaluate(np.array(scores), np.array(truth))

@@ -4,6 +4,7 @@ import hashlib
 import io
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,20 @@ class TestForward:
             # freed once the next exists, so at most two are live at a time
             assert peak < 3.0 * widest_activation, clips.dtype
 
+    def test_predict_scores_refuses_a_score_that_is_not_finite(self):
+        model = toy_model()
+        model.blocks[0][0].dense.weight[...] = 1.7e308  # finite, so a valid checkpoint
+        # clips of zeros score finitely; the first overflowing clip lies in the second chunk
+        n_clips = INFER_CHUNK_ROWS // 6 + 20
+        features = np.zeros((n_clips, 6, 4))
+        features[n_clips - 5 :] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^clip {n_clips - 5} of {n_clips} has a score"
+                                                 " that is not finite$"):
+                predict_scores(model, features)
+            assert np.isfinite(predict_scores(model, features[: n_clips - 5])).all()
+
 
 class TestBackward:
     def test_infer_cache_retains_nothing_and_is_rejected(self):
@@ -390,6 +405,18 @@ class TestWeightFiles:
         # header: magic, version, n_levels=2, two depths, hidden_units, n_classes, input_dim
         struct.pack_into("<I", blob, 28, 0)
         with pytest.raises(WeightFormatError, match="header input_dim must be >= 1"):
+            load_weights(io.BytesIO(bytes(blob)))
+
+    # header: magic, version, n_levels=2 (offset 8), two depths (12, 16), hidden_units (20),
+    # n_classes (24), input_dim (28)
+    @pytest.mark.parametrize("offset", [8, 12, 20, 24],
+                             ids=["n-levels", "first-depth", "hidden-units", "n-classes"])
+    def test_header_invalid_architecture_rejected(self, offset):
+        buffer = io.BytesIO()
+        save_weights(toy_model(), buffer)
+        blob = bytearray(buffer.getvalue())
+        struct.pack_into("<I", blob, offset, 0)
+        with pytest.raises(WeightFormatError, match="bad architecture in header"):
             load_weights(io.BytesIO(bytes(blob)))
 
     # A loader that allocated before checking sizes would peak near 2 MB at
