@@ -19,6 +19,7 @@ arrays.  The header alone determines the architecture and every array shape.
 from __future__ import annotations
 
 import struct
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO, Callable
 
@@ -210,6 +211,7 @@ def forward_cached(
     mode: str,
     rng: np.random.Generator | None = None,
     dropout: float = 0.0,
+    helper: Executor | None = None,
 ) -> ForwardPass:
     """Run clips of shape (n_clips, n_frames, input_dim) through the model.
 
@@ -219,6 +221,7 @@ def forward_cached(
     dropout.  Features of any dtype (float32 as read or generated) are
     widened to float64 here, once per call, so a batch or chunk is the most
     that is ever held at float64 and every kernel computes in float64.
+    A ``helper`` runs each head's classification map (see :func:`forward_batch`).
     """
     if features.ndim != 3 or features.shape[2] != model.input_dim:
         raise ValueError(
@@ -257,7 +260,7 @@ def forward_cached(
             layer_io.append(block_io)
 
         h = x.reshape(n_clips, n_frames, -1)
-        y, weights, frame_probs, denom = forward_batch(h, head)
+        y, weights, frame_probs, denom = forward_batch(h, head, helper=helper)
         if retain:
             level_io.append((h, weights, frame_probs, denom))
         level_y.append(y)
@@ -325,12 +328,17 @@ def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
     """Infer-mode class probabilities (n_clips, n_classes); a score not finite raises ValueError.
 
     Clips are scored in chunks of about :data:`INFER_CHUNK_ROWS` frame
-    rows (at least one clip), so memory stays bounded by one chunk.
+    rows (at least one clip), so memory stays bounded by one chunk.  A helper
+    thread, joined before this returns, runs each head's classification map
+    (see :func:`forward_batch`).
     """
     step = max(1, INFER_CHUNK_ROWS // max(1, features.shape[1]))
-    with np.errstate(all="ignore"):  # a model that overflows is refused below, not warned of
-        scores = np.concatenate([forward_cached(model, features[start : start + step], INFER).z
-                                 for start in range(0, features.shape[0], step)])
+    # a model that overflows is refused below, not warned of
+    with ThreadPoolExecutor(1) as helper, np.errstate(all="ignore"):
+        scores = np.concatenate([
+            forward_cached(model, features[start : start + step], INFER, helper=helper).z
+            for start in range(0, features.shape[0], step)
+        ])
     if not (finite := np.isfinite(scores).all(axis=1)).all():
         raise ValueError(f"clip {np.argmin(finite)} of {len(scores)} has a score that is not finite")
     return scores

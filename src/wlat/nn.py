@@ -7,8 +7,9 @@ any analytic gradient against central finite differences.
 
 In-place contract.  The forward kernels work in place on arrays they
 allocate themselves and never write to their inputs, except :func:`relu`,
-which clamps the array it is given (the model passes it the batch-norm
-output it just allocated).  A backward kernel may overwrite its
+:func:`sigmoid` and :func:`softmax_rows`, which work in place on the array
+they are given and return it (every caller passes an output it just
+allocated: a batch-norm or dense output).  A backward kernel may overwrite its
 ``grad_out`` argument and may return it as its input gradient, so a caller
 passes a gradient it owns and does not read it afterwards.  No backward
 kernel writes to ``x``, to a layer's state or to a cached activation.
@@ -91,24 +92,24 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-x)), branch-stable for large |x|."""
-    e = np.abs(x)
+    """Elementwise 1 / (1 + exp(-x)) in place, branch-stable for large |x|; returns ``x``."""
+    step = x >= 0.0
+    e = np.abs(x, out=x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    # The numerator is 1 where x >= 0, else e; as e <= 1 that is max(step(x), e).
-    out = (x >= 0.0).astype(e.dtype)
-    np.maximum(out, e, out=out)
-    e += 1.0
-    out /= e
-    return out
+    denom = e + 1.0
+    # The numerator is 1 where x >= 0, else e; as e <= 1 that is max(e, step(x)).
+    np.maximum(e, step, out=e)
+    e /= denom
+    return e
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise softmax; subtracts the row max so large logits cannot overflow."""
-    e = x - x.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Row-wise softmax in place; subtracts the row max so large logits cannot overflow."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def softmax_rows_backward(softmax_out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

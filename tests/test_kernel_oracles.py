@@ -3,12 +3,15 @@
 The kernels compute in place.  Each oracle below is the same expression
 written with one temporary per step; every kernel must match it bitwise and
 leave untouched its inputs, the layer state and the cached activations it
-reads (a backward kernel may overwrite only its ``grad_out``), on random
+reads (a backward kernel may overwrite only its ``grad_out``; ``sigmoid`` and
+``softmax_rows`` return the array they are given, overwritten), on random
 inputs and on extreme ones (+-800, signed zeros, subnormals, ties; for the
 sigmoid also NaN and infinities).  The one exception is ``relu_backward``:
 a multiply by the step gives a zero with the sign of the gradient where the
 oracle gives +0.0, so it is compared with ``np.array_equal``.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,17 +171,19 @@ def test_dense_forward_matches_oracle(kind):
 def test_sigmoid_matches_oracle(kind):
     non_finite = np.resize([np.nan, -np.nan, np.inf, -np.inf], (1, 9))
     x = np.vstack([INPUTS[kind](9), non_finite])
-    before = snapshot(x)
-    assert_bitwise(nn.sigmoid(x), oracle_sigmoid(x))
-    assert snapshot(x) == before
+    expected = oracle_sigmoid(x.copy())
+    out = nn.sigmoid(x)
+    assert_bitwise(out, expected)
+    assert np.shares_memory(out, x)
 
 
 @pytest.mark.parametrize("kind", INPUTS)
 def test_softmax_rows_matches_oracle(kind):
     x = INPUTS[kind](9)
-    before = snapshot(x)
-    assert_bitwise(nn.softmax_rows(x), oracle_softmax_rows(x))
-    assert snapshot(x) == before
+    expected = oracle_softmax_rows(x.copy())
+    out = nn.softmax_rows(x)
+    assert_bitwise(out, expected)
+    assert np.shares_memory(out, x)
 
 
 @pytest.mark.parametrize("mode", [nn.TRAIN, nn.INFER])
@@ -213,8 +218,12 @@ def test_attention_forward_batch_matches_oracle(kind):
     )
     params = (head.att_dense.weight, head.att_dense.bias, head.cls_dense.weight, head.cls_dense.bias)
     before = snapshot(h, *params)
-    for actual, expected in zip(forward_batch(h, head), oracle_forward_batch(h, head)):
-        assert_bitwise(actual, expected)
+    oracle = oracle_forward_batch(h, head)
+    # inline, and with the classification map on a helper thread as predict_scores runs it
+    with ThreadPoolExecutor(1) as pool:
+        for helper in (None, pool):
+            for actual, expected in zip(forward_batch(h, head, helper=helper), oracle):
+                assert_bitwise(actual, expected)
     assert snapshot(h, *params) == before
 
 

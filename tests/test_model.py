@@ -3,6 +3,7 @@
 import hashlib
 import io
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -240,6 +241,32 @@ class TestForward:
                                                  " that is not finite$"):
                 predict_scores(model, features)
             assert np.isfinite(predict_scores(model, features[: n_clips - 5])).all()
+
+    def test_predict_scores_leaves_no_thread_behind(self):
+        model = toy_model()
+        features = gaussian(new_rng(16), (INFER_CHUNK_ROWS // 6 + 20, 6, 4))  # two chunks
+        before = threading.active_count()
+        predict_scores(model, features)
+        assert threading.active_count() == before
+        model.blocks[0][0].dense.weight[...] = 1.7e308  # every clip now scores NaN
+        with pytest.raises(ValueError, match="^clip 0 of"):
+            predict_scores(model, features)
+        assert threading.active_count() == before
+
+    def test_helper_thread_keeps_the_callers_error_handling(self):
+        # the last head's classification map overflows to +-inf on its helper thread;
+        # the sigmoid maps that to 0 or 1, so the scores are finite and nothing is warned of
+        model = toy_model()
+        weight = model.heads[1].cls_dense.weight
+        weight[...] = 1.7e308
+        weight[::2] *= -1.0
+        checkpoint = io.BytesIO()
+        save_weights(model, checkpoint)  # finite, so a valid checkpoint
+        loaded = load_weights(io.BytesIO(checkpoint.getvalue()))
+        features = gaussian(new_rng(17), (INFER_CHUNK_ROWS // 6 + 20, 6, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(predict_scores(loaded, features)).all()
 
 
 class TestBackward:

@@ -139,7 +139,7 @@ def test_softmax_extreme_logits_no_overflow():
 def test_softmax_rows_sum_to_one_and_shift_invariant(seed, shift):
     rng = new_rng(seed)
     x = 10.0 * gaussian(rng, (3, 5))
-    out = nn.softmax_rows(x)
+    out = nn.softmax_rows(x.copy())
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
     assert np.max(np.abs(nn.softmax_rows(x + shift) - out)) < 1e-12
 
@@ -267,8 +267,8 @@ def test_finite_in_finite_out():
     for out in (
         nn.dense_forward(x, layer),
         nn.relu(x.copy()),
-        nn.sigmoid(x),
-        nn.softmax_rows(x),
+        nn.sigmoid(x.copy()),
+        nn.softmax_rows(x.copy()),
         nn.batchnorm_forward(x, state, nn.TRAIN)[0],
     ):
         assert np.isfinite(out).all()
