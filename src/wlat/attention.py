@@ -17,7 +17,6 @@ every clip at once, as (n_clips * n_frames, width) rows.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,31 +44,23 @@ class AttentionHead:
         return self.att_dense.n_out
 
 
-def _classify(rows: np.ndarray, cls_dense: DenseLayer, errors: dict) -> np.ndarray:
-    with np.errstate(**errors):  # a helper thread starts with numpy's default error handling
-        return sigmoid(dense_forward(rows, cls_dense))
-
-
 def forward_batch(
-    h: np.ndarray, head: AttentionHead, helper: Executor | None = None
+    h: np.ndarray, head: AttentionHead
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pool a batch of embedded clips, shape (n_clips, n_frames, width).
 
     Returns (y, weights, frame_probs, denom) where y is (n_clips,
     n_classes), weights and frame_probs are (n_clips, n_frames, n_classes),
     and denom is the (n_clips, 1, n_classes) time-normalization term; the
-    last three feed :func:`backward_batch`.  A ``helper`` executor runs the
-    classification map, under this thread's ``np.geterr()``, beside the
-    attention map; neither map reads the other, so no bit of any result changes.
+    last three feed :func:`backward_batch`.  A training and an inference
+    forward run the same code, on the calling thread.
     """
     if h.ndim != 3 or h.shape[1] < 1:
         raise ValueError(f"expected (n_clips, n_frames >= 1, width), got {h.shape}")
     rows = h.reshape(-1, h.shape[2])
     shape = (*h.shape[:2], head.n_classes)
-    pending = None if helper is None else helper.submit(_classify, rows, head.cls_dense, np.geterr())
     v = softmax_rows(dense_forward(rows, head.att_dense)).reshape(shape)
-    frame_probs = sigmoid(dense_forward(rows, head.cls_dense)) if pending is None else pending.result()
-    frame_probs = frame_probs.reshape(shape)
+    frame_probs = sigmoid(dense_forward(rows, head.cls_dense)).reshape(shape)
     denom = v.sum(axis=1, keepdims=True)
     denom = np.where(denom > 0.0, denom, NORM_EPSILON)
     v /= denom  # v becomes the weights

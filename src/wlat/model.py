@@ -19,7 +19,7 @@ arrays.  The header alone determines the architecture and every array shape.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO, Callable
 
@@ -33,13 +33,14 @@ from .rng import new_rng
 WEIGHTS_MAGIC = b"WLAM"
 WEIGHTS_VERSION = 1
 
-# Frame rows (clips x frames) that :func:`predict_scores` scores at once.
-# At paper width a chunk's widest activation (1000 x 600 floats) stays near
-# the CPU cache; 10000-row chunks spent more time in elementwise passes and
-# page faults than in their GEMMs.  Chunked scores equal one forward over all
-# clips bitwise only at toy widths: at paper shape BLAS rounds the tail rows of
-# a GEMM differently, and under 0.1% of scores differ, by at most 4.4e-16.
-INFER_CHUNK_ROWS = 1000
+# Frame rows (clips x frames) per chunk of :func:`predict_scores`, which
+# scores two chunks at once, one per thread.  At paper width the two chunks'
+# widest activations (2 x 400 x 600 floats) stay near the CPU cache; 10000-row
+# chunks spent more time in elementwise passes and page faults than in their
+# GEMMs.  Chunked scores equal one forward over all clips bitwise only at toy
+# widths: at paper shape BLAS rounds the tail rows of a GEMM differently, and
+# 0.16-0.25% of scores differ, by at most 5.6e-16.
+INFER_CHUNK_ROWS = 400
 
 # The architecture grammar: dense-layer counts separated by attention taps.
 PRESET_ARCHS = (
@@ -184,6 +185,15 @@ def build_model(spec: ArchSpec, input_dim: int, init_seed: int) -> MultiLevelMod
     return model
 
 
+def _check_features(model: MultiLevelModel, features: np.ndarray) -> None:
+    if features.ndim != 3 or features.shape[2] != model.input_dim:
+        raise ValueError(
+            f"features shape {features.shape} incompatible with input_dim={model.input_dim}"
+        )
+    if features.shape[0] < 1 or features.shape[1] < 1:
+        raise ValueError(f"features shape {features.shape} holds no clip or no frame")
+
+
 @dataclass(frozen=True)
 class ForwardPass:
     """One forward pass over a batch of clips.
@@ -211,7 +221,6 @@ def forward_cached(
     mode: str,
     rng: np.random.Generator | None = None,
     dropout: float = 0.0,
-    helper: Executor | None = None,
 ) -> ForwardPass:
     """Run clips of shape (n_clips, n_frames, input_dim) through the model.
 
@@ -221,12 +230,9 @@ def forward_cached(
     dropout.  Features of any dtype (float32 as read or generated) are
     widened to float64 here, once per call, so a batch or chunk is the most
     that is ever held at float64 and every kernel computes in float64.
-    A ``helper`` runs each head's classification map (see :func:`forward_batch`).
+    The pass runs on the calling thread, in either mode.
     """
-    if features.ndim != 3 or features.shape[2] != model.input_dim:
-        raise ValueError(
-            f"features shape {features.shape} incompatible with input_dim={model.input_dim}"
-        )
+    _check_features(model, features)
     use_dropout = mode == TRAIN and dropout > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng for the masks")
@@ -260,7 +266,7 @@ def forward_cached(
             layer_io.append(block_io)
 
         h = x.reshape(n_clips, n_frames, -1)
-        y, weights, frame_probs, denom = forward_batch(h, head, helper=helper)
+        y, weights, frame_probs, denom = forward_batch(h, head)
         if retain:
             level_io.append((h, weights, frame_probs, denom))
         level_y.append(y)
@@ -324,21 +330,32 @@ def backward(
     return dict(zip(model.trainable_params(), grads, strict=True))
 
 
+def _score_chunk(model: MultiLevelModel, chunk: np.ndarray) -> np.ndarray:
+    with np.errstate(all="ignore"):  # a model that overflows is refused, not warned of
+        return forward_cached(model, chunk, INFER).z
+
+
 def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
     """Infer-mode class probabilities (n_clips, n_classes); a score not finite raises ValueError.
 
     Clips are scored in chunks of about :data:`INFER_CHUNK_ROWS` frame
-    rows (at least one clip), so memory stays bounded by one chunk.  A helper
-    thread, joined before this returns, runs each head's classification map
-    (see :func:`forward_batch`).
+    rows (at least one clip), two at a time: a helper thread, joined before
+    this returns, scores each odd chunk while the calling thread scores the
+    even one before it.  Memory stays bounded by two chunks and the output,
+    and after a chunk fails at most its partner is scored.  Each chunk is
+    one single-thread forward, so the threads change no bit of any score.
     """
-    step = max(1, INFER_CHUNK_ROWS // max(1, features.shape[1]))
-    # a model that overflows is refused below, not warned of
-    with ThreadPoolExecutor(1) as helper, np.errstate(all="ignore"):
-        scores = np.concatenate([
-            forward_cached(model, features[start : start + step], INFER, helper=helper).z
-            for start in range(0, features.shape[0], step)
-        ])
+    _check_features(model, features)
+    step = max(1, INFER_CHUNK_ROWS // features.shape[1])
+    # each chunk's scores are copied into place and freed, not kept for one concatenation
+    scores = np.empty((len(features), model.spec.n_classes))
+    with ThreadPoolExecutor(1) as helper:
+        for start in range(0, len(features), 2 * step):
+            mid, end = start + step, start + 2 * step
+            partner = helper.submit(_score_chunk, model, features[mid:end]) if mid < len(features) else None
+            scores[start:mid] = _score_chunk(model, features[start:mid])
+            if partner is not None:
+                scores[mid:end] = partner.result()
     if not (finite := np.isfinite(scores).all(axis=1)).all():
         raise ValueError(f"clip {np.argmin(finite)} of {len(scores)} has a score that is not finite")
     return scores

@@ -11,8 +11,6 @@ a multiply by the step gives a zero with the sign of the gradient where the
 oracle gives +0.0, so it is compared with ``np.array_equal``.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -218,12 +216,8 @@ def test_attention_forward_batch_matches_oracle(kind):
     )
     params = (head.att_dense.weight, head.att_dense.bias, head.cls_dense.weight, head.cls_dense.bias)
     before = snapshot(h, *params)
-    oracle = oracle_forward_batch(h, head)
-    # inline, and with the classification map on a helper thread as predict_scores runs it
-    with ThreadPoolExecutor(1) as pool:
-        for helper in (None, pool):
-            for actual, expected in zip(forward_batch(h, head, helper=helper), oracle):
-                assert_bitwise(actual, expected)
+    for actual, expected in zip(forward_batch(h, head), oracle_forward_batch(h, head)):
+        assert_bitwise(actual, expected)
     assert snapshot(h, *params) == before
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import itertools
+import re
 import struct
 import threading
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wlat.model
 from wlat.model import (
     INFER_CHUNK_ROWS,
     PRESET_ARCHS,
@@ -188,6 +191,17 @@ class TestForward:
         with pytest.raises(ValueError):
             forward_cached(model, np.zeros((4, 6, 9)), INFER)
 
+    @pytest.mark.parametrize("score", [lambda model, x: forward_cached(model, x, INFER).z,
+                                       predict_scores], ids=["forward_cached", "predict_scores"])
+    @pytest.mark.parametrize("shape, message", [
+        ((0, 6, 4), "holds no clip or no frame"),
+        ((4, 0, 4), "holds no clip or no frame"),
+        ((0, 6, 9), "incompatible with input_dim=4"),
+    ], ids=["no-clip", "no-frame", "wrong-width"])
+    def test_empty_batch_rejected_in_wlats_words(self, score, shape, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'features shape {shape} {message}')}$"):
+            score(toy_model(), np.zeros(shape))
+
     def test_dropout_needs_rng_in_train_mode(self):
         model = toy_model()
         features = gaussian(new_rng(7), (4, 6, 4))
@@ -212,21 +226,25 @@ class TestForward:
     def test_predict_scores_memory_is_one_chunk(self):
         hidden, n_frames = 32, 10
         model = build_model(parse_arch("2-A-1-A", hidden_units=hidden, n_classes=8), 16, 0)
-        features = gaussian(new_rng(14), (8 * INFER_CHUNK_ROWS // n_frames, n_frames, 16))
-        widest_activation = INFER_CHUNK_ROWS * hidden * 8  # bytes of one chunk's layer output
+        # the byte unit is a 1000-row layer output, a fixed size whatever the
+        # chunk size; the data set holds eight units per activation
+        unit = 1000 * hidden * 8
+        features = gaussian(new_rng(14), (8 * 1000 // n_frames, n_frames, 16))
         # float32 features guard against widening the whole set at once
         for clips in (features, features.astype(np.float32)):
-            tracemalloc.start()
-            try:
-                predict_scores(model, clips)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            # a few live activations of one chunk, not a cache of all eight
-            assert peak < 8 * widest_activation, clips.dtype
+            peaks = []
+            for _ in range(5):  # the two threads' peaks coincide in some calls only
+                tracemalloc.start()
+                try:
+                    predict_scores(model, clips)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # a few live activations of two chunks, not a cache of the whole set
+            assert max(peaks) < 8 * unit, clips.dtype
             # ReLU runs in place on the batch-norm output and each activation is
-            # freed once the next exists, so at most two are live at a time
-            assert peak < 3.0 * widest_activation, clips.dtype
+            # freed once the next exists, so at most two per thread are live at a time
+            assert max(peaks) < 3.0 * unit, clips.dtype
 
     def test_predict_scores_refuses_a_score_that_is_not_finite(self):
         model = toy_model()
@@ -253,8 +271,27 @@ class TestForward:
             predict_scores(model, features)
         assert threading.active_count() == before
 
+    def test_predict_scores_stops_within_a_chunk_of_an_error(self, monkeypatch):
+        model = toy_model()
+        features = gaussian(new_rng(18), (10 * (INFER_CHUNK_ROWS // 6), 6, 4))  # ten chunks
+        real, calls, made = wlat.model.forward_cached, itertools.count(1), []
+
+        def third_call_fails(*args, **kwargs):
+            made.append(call := next(calls))
+            if call == 3:
+                raise MemoryError
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wlat.model, "forward_cached", third_call_fails)
+        before = threading.active_count()
+        with pytest.raises(MemoryError):
+            predict_scores(model, features)
+        # the failing chunk's partner may be scored, and nothing after it
+        assert len(made) <= 4
+        assert threading.active_count() == before
+
     def test_helper_thread_keeps_the_callers_error_handling(self):
-        # the last head's classification map overflows to +-inf on its helper thread;
+        # the last head's classification map overflows to +-inf, on the helper thread too;
         # the sigmoid maps that to 0 or 1, so the scores are finite and nothing is warned of
         model = toy_model()
         weight = model.heads[1].cls_dense.weight

@@ -1,6 +1,5 @@
 """Loss, optimizer, and training-loop behavior."""
 
-import inspect
 import io
 import math
 import tracemalloc
@@ -283,21 +282,6 @@ class TestFit:
         assert orders[0] == orders[1]
         assert orders[0] != orders[2]
         assert orders[0][:20] != orders[0][20:]
-
-    def test_training_forwards_run_both_maps_inline(self, monkeypatch):
-        # only predict_scores lends a helper thread; fit's own forwards pass none
-        _, train, valid = small_split()
-        real = train_module.forward_cached
-        helpers = []
-
-        def recording(*args, **kwargs):
-            helpers.append(inspect.signature(real).bind(*args, **kwargs).arguments.get("helper"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(train_module, "forward_cached", recording)
-        fit(small_model(), train, valid, TrainConfig(arch="1-A", epochs=2, batch_size=8, seed=9))
-        assert len(helpers) == 6  # two epochs of three batches
-        assert helpers == [None] * 6
 
     def test_epoch_count_costs_nothing_before_the_first_step(self, monkeypatch):
         # Each epoch's shuffle seed is spawned as that epoch starts, so what
