@@ -11,16 +11,16 @@ weight file stores, so a loaded checkpoint is the whole model.
 
 Weight file format (all little-endian): magic ``WLAM``, version u32,
 n_blocks u32, block depths (u32 each), hidden_units u32, n_classes u32,
-input_dim u32, then every state array as raw finite float64, in the order of
-:meth:`MultiLevelModel.state_params`, which alone names and orders the
-arrays.  The header alone determines the architecture and every array shape.
+input_dim u32, then every state array as raw finite float64, in the order in
+which :func:`_assemble` makes and names them.  The header alone determines
+the architecture and every array shape.
 """
 
 from __future__ import annotations
 
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import BinaryIO, Callable
 
 import numpy as np
@@ -116,59 +116,51 @@ class MultiLevelModel:
     blocks: list[list[LayerStack]]
     heads: list[AttentionHead]
     out: DenseLayer  # (n_classes * n_levels) -> n_classes
+    arrays: dict[str, np.ndarray]  # each array above by checkpoint name, in file order
 
     def state_params(self) -> dict[str, np.ndarray]:
-        """Live views of every persisted array, in fixed traversal order."""
-        params: dict[str, np.ndarray] = {}
-        for b, block in enumerate(self.blocks):
-            for j, layer in enumerate(block):
-                prefix = f"block{b}.layer{j}"
-                params[f"{prefix}.weight"] = layer.dense.weight
-                params[f"{prefix}.bias"] = layer.dense.bias
-                params[f"{prefix}.gamma"] = layer.bn.gamma
-                params[f"{prefix}.beta"] = layer.bn.beta
-                params[f"{prefix}.running_mean"] = layer.bn.running_mean
-                params[f"{prefix}.running_var"] = layer.bn.running_var
-        for l, head in enumerate(self.heads):
-            params[f"head{l}.att.weight"] = head.att_dense.weight
-            params[f"head{l}.att.bias"] = head.att_dense.bias
-            params[f"head{l}.cls.weight"] = head.cls_dense.weight
-            params[f"head{l}.cls.bias"] = head.cls_dense.bias
-        params["out.weight"] = self.out.weight
-        params["out.bias"] = self.out.bias
-        return params
+        """Live views of every persisted array, in file order: training replaces none of them."""
+        return dict(self.arrays)
 
     def trainable_params(self) -> dict[str, np.ndarray]:
         """The state minus batch-norm running statistics, in the same order."""
-        return {name: arr for name, arr in self.state_params().items() if ".running_" not in name}
+        return {name: arr for name, arr in self.arrays.items() if ".running_" not in name}
 
     def copy_state(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.state_params().items()}
+        return {name: arr.copy() for name, arr in self.arrays.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        own = self.state_params()
-        if own.keys() != state.keys():
+        if self.arrays.keys() != state.keys():
             raise ValueError("state dict does not match model structure")
-        for name, arr in own.items():
+        for name, arr in self.arrays.items():
             arr[...] = state[name]
 
 
 def _assemble(spec: ArchSpec, input_dim: int) -> MultiLevelModel:
-    """The model's structure: zero dense arrays and fresh batch-norm states."""
+    """The model's structure, zero dense arrays and fresh batch-norm states, each array
+    named as it is made: blocks, then heads (att, then cls), then ``out``."""
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
     h, k = spec.hidden_units, spec.n_classes
+    arrays: dict[str, np.ndarray] = {}
 
-    def dense(n_in: int, n_out: int) -> DenseLayer:
-        return DenseLayer(np.zeros((n_in, n_out)), np.zeros(n_out))
+    def named(prefix: str, part):
+        """``part``, each of its array fields recorded as ``<prefix>.<field>``."""
+        arrays.update((f"{prefix}.{f.name}", getattr(part, f.name)) for f in fields(part))
+        return part
+
+    def dense(prefix: str, n_in: int, n_out: int) -> DenseLayer:
+        return named(prefix, DenseLayer(np.zeros((n_in, n_out)), np.zeros(n_out)))
 
     blocks = [
-        [LayerStack(dense(input_dim if (b, j) == (0, 0) else h, h), BatchNormState.init(h))
+        [LayerStack(dense(f"block{b}.layer{j}", input_dim if (b, j) == (0, 0) else h, h),
+                    named(f"block{b}.layer{j}", BatchNormState.init(h)))
          for j in range(depth)]
         for b, depth in enumerate(spec.block_depths)
     ]
-    heads = [AttentionHead(dense(h, k), dense(h, k)) for _ in spec.block_depths]
-    return MultiLevelModel(spec, input_dim, blocks, heads, dense(k * spec.n_levels, k))
+    heads = [AttentionHead(dense(f"head{l}.att", h, k), dense(f"head{l}.cls", h, k))
+             for l in range(spec.n_levels)]
+    return MultiLevelModel(spec, input_dim, blocks, heads, dense("out", k * spec.n_levels, k), arrays)
 
 
 def build_model(spec: ArchSpec, input_dim: int, init_seed: int) -> MultiLevelModel:
@@ -203,7 +195,6 @@ class ForwardPass:
     them, so each activation is freed as soon as the next one exists.
     """
 
-    mode: str
     z: np.ndarray  # (n_clips, n_classes), final probabilities
     level_att: list[np.ndarray]  # per level (n_clips, n_frames, n_classes)
     u: np.ndarray | None  # (n_clips, n_classes * n_levels), concatenated level outputs
@@ -275,7 +266,7 @@ def forward_cached(
 
     u = np.concatenate(level_y, axis=1)
     z = nn.sigmoid(nn.dense_forward(u, model.out))
-    return ForwardPass(mode, z, level_att, u if retain else None, layer_io, level_io)
+    return ForwardPass(z, level_att, u if retain else None, layer_io, level_io)
 
 
 def backward(
@@ -286,7 +277,7 @@ def backward(
     Requires a matching train-mode forward pass (dropout masks are reused,
     batch-norm gradients assume batch statistics).
     """
-    if fwd.mode != TRAIN:
+    if fwd.u is None:
         raise ValueError("backward requires a train-mode forward pass")
     if grad_z.shape != fwd.z.shape:
         raise ValueError(f"grad_z shape {grad_z.shape} != {fwd.z.shape}")
@@ -386,7 +377,7 @@ def model_grad_check(
 
 def _check_state(model: MultiLevelModel) -> MultiLevelModel:
     """The ``.wlam`` array rule: values finite, running variances >= 0; a breach names its array."""
-    for name, arr in model.state_params().items():
+    for name, arr in model.arrays.items():
         if not np.isfinite(arr).all():
             raise WeightFormatError(f"non-finite value in {name}")
         if name.endswith(".running_var") and (arr < 0).any():
@@ -400,7 +391,7 @@ def save_weights(model: MultiLevelModel, sink: BinaryIO) -> int:
     header = (WEIGHTS_VERSION, spec.n_levels, *spec.block_depths, spec.hidden_units,
               spec.n_classes, model.input_dim)
     written = sink.write(WEIGHTS_MAGIC + struct.pack(f"<{len(header)}I", *header))
-    for arr in model.state_params().values():
+    for arr in model.arrays.values():
         written += sink.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return written
 
@@ -450,7 +441,7 @@ def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelMo
         raise WeightFormatError("trailing bytes after final parameter array")
     model = _assemble(stored, input_dim)
     values = np.frombuffer(blob, dtype="<f8", offset=offset)
-    for arr in model.state_params().values():
+    for arr in model.arrays.values():
         arr[...] = values[: arr.size].reshape(arr.shape)
         values = values[arr.size :]
     return _check_state(model)

@@ -9,10 +9,12 @@ In-place contract.  The forward kernels work in place on arrays they
 allocate themselves and never write to their inputs, except :func:`relu`,
 :func:`sigmoid` and :func:`softmax_rows`, which work in place on the array
 they are given and return it (every caller passes an output it just
-allocated: a batch-norm or dense output).  A backward kernel may overwrite its
-``grad_out`` argument and may return it as its input gradient, so a caller
-passes a gradient it owns and does not read it afterwards.  No backward
-kernel writes to ``x``, to a layer's state or to a cached activation.
+allocated: a batch-norm or dense output), and a train-mode
+:func:`batchnorm_forward`, which updates its state's running statistics in
+place, so no array a model holds is ever replaced.  A backward kernel may
+overwrite its ``grad_out`` argument and may return it as its input gradient,
+so a caller passes a gradient it owns and does not read it afterwards.  No
+backward kernel writes to ``x``, to a layer's state or to a cached activation.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class BatchNormState:
     """Per-column scale/shift parameters plus running statistics.
 
     Running statistics follow ``running = BN_MOMENTUM * running + (1 -
-    BN_MOMENTUM) * batch`` and are only consulted in infer mode.
+    BN_MOMENTUM) * batch``, updated in place, and are only consulted in infer mode.
     """
 
     gamma: np.ndarray
@@ -154,8 +156,9 @@ def batchnorm_forward(
         # x.var(axis=0): the mean of the squared deviations held in ``out``
         var = np.square(out).sum(axis=0)
         var /= x.shape[0]
-        state.running_mean = BN_MOMENTUM * state.running_mean + (1.0 - BN_MOMENTUM) * mean
-        state.running_var = BN_MOMENTUM * state.running_var + (1.0 - BN_MOMENTUM) * var
+        for running, batch in ((state.running_mean, mean), (state.running_var, var)):
+            running *= BN_MOMENTUM
+            running += (1.0 - BN_MOMENTUM) * batch
     else:
         mean = state.running_mean
         var = state.running_var

@@ -194,7 +194,9 @@ def test_batchnorm_forward_matches_oracle(kind, mode):
         expected_mean, expected_var = x.mean(axis=0), x.var(axis=0)
     else:
         expected_mean, expected_var = state.running_mean.copy(), state.running_var.copy()
-    inputs = (x, state.gamma, state.beta, state.running_mean, state.running_var)
+    running = (state.running_mean, state.running_var)
+    # train mode updates the running statistics in place: they are outputs, checked below
+    inputs = (x, state.gamma, state.beta) + (running if mode == nn.INFER else ())
     before = snapshot(*inputs)
     out, mean, var = nn.batchnorm_forward(x, state, mode)
     assert_bitwise(out, expected)
@@ -202,6 +204,7 @@ def test_batchnorm_forward_matches_oracle(kind, mode):
     assert_bitwise(var, expected_var)
     assert_bitwise(state.running_mean, running_mean)
     assert_bitwise(state.running_var, running_var)
+    assert state.running_mean is running[0] and state.running_var is running[1]
     assert snapshot(*inputs) == before
 
 

@@ -10,7 +10,10 @@ import pytest
 from wlat import train as train_module
 from wlat.data import DatasetFormatError, Sample, SynthConfig, generate_synthetic
 from wlat.metrics import evaluate
-from wlat.model import build_model, load_weights, parse_arch, predict_scores, save_weights
+from wlat.model import (
+    build_model, forward_cached, load_weights, parse_arch, predict_scores, save_weights
+)
+from wlat.nn import TRAIN
 from wlat.rng import gaussian, new_rng
 from wlat.train import AdamState, TrainConfig, adam_step, bce_loss, fit
 from wlat.data import stack_features, stack_targets
@@ -175,7 +178,46 @@ def lone_clip_split(n_frames):
     return samples[:21], samples[21:]
 
 
+def held_arrays(model):
+    """Every array ``model.blocks``, ``heads`` and ``out`` hold, by checkpoint name, walked
+    from the structure itself."""
+    held = {}
+    for b, block in enumerate(model.blocks):
+        for j, layer in enumerate(block):
+            dense, bn = layer.dense, layer.bn
+            for name, arr in (("weight", dense.weight), ("bias", dense.bias), ("gamma", bn.gamma),
+                              ("beta", bn.beta), ("running_mean", bn.running_mean),
+                              ("running_var", bn.running_var)):
+                held[f"block{b}.layer{j}.{name}"] = arr
+    for l, head in enumerate(model.heads):
+        for part, dense in (("att", head.att_dense), ("cls", head.cls_dense)):
+            held[f"head{l}.{part}.weight"], held[f"head{l}.{part}.bias"] = dense.weight, dense.bias
+    held["out.weight"], held["out.bias"] = model.out.weight, model.out.bias
+    return held
+
+
 class TestFit:
+    @pytest.mark.parametrize("step", ["train-mode forward", "fit"])
+    def test_state_views_stay_live(self, step):
+        _, train, valid = small_split()
+        model = small_model("2-A-1-A")
+        initial = model.copy_state()
+        views = model.state_params()
+        if step == "fit":
+            fit(model, train, valid,
+                TrainConfig(arch="2-A-1-A", epochs=2, batch_size=8, lr=0.01, seed=9))
+        else:
+            forward_cached(model, stack_features(train), TRAIN, new_rng(1), 0.4)
+        fresh = model.state_params()
+        assert list(views) == list(fresh) == list(held_arrays(model))
+        for name, arr in held_arrays(model).items():
+            assert views[name] is arr and fresh[name] is arr, name
+        running = [name for name in fresh if ".running_" in name]
+        assert len(running) == 6  # three hidden layers, each with a mean and a variance
+        for name in running:  # the step moved every running statistic, and the views saw it
+            assert not np.array_equal(fresh[name], initial[name]), name
+            assert views[name].tobytes() == fresh[name].tobytes(), name
+
     def test_logs_replay_byte_for_byte(self):
         _, train, valid = small_split()
         cfg = TrainConfig(arch="1-A", epochs=4, batch_size=8, lr=0.01, seed=9, eval_every=2)
