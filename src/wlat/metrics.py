@@ -2,11 +2,11 @@
 
 AP averages the precision at each positive in the descending score ranking.
 AUC is the Mann-Whitney rank statistic (ties count half), identical to the
-trapezoidal area under the ROC curve.  One stable descending sort per class
-serves both: tied scores keep input order for AP and share their mean rank
-for AUC.  d-prime maps AUC through the inverse standard normal CDF
-(``statistics.NormalDist.inv_cdf``): the separation of two unit-variance
-Gaussians whose overlap reproduces that AUC.
+trapezoidal area under the ROC curve.  One sort per class serves both, and
+only a class holding a tie is sorted again, stably: tied scores keep input
+order for AP and share their mean rank for AUC.  d-prime maps AUC through the
+inverse standard normal CDF (``statistics.NormalDist.inv_cdf``): the
+separation of two unit-variance Gaussians whose overlap reproduces that AUC.
 
 Classes with no positives or no negatives are undefined under all three
 metrics; they are excluded from aggregates and reported separately.
@@ -70,19 +70,22 @@ def _check_scores(scores: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _rank_pass(scores: np.ndarray, positive: np.ndarray) -> tuple[np.ndarray, ...]:
-    """AP, AUC and positive count of every row (one class per row), sorting each row once.
+    """AP, AUC and positive count of every row (one class per row).
 
-    Each row needs a positive and a negative.  The stable descending order
-    keeps tied scores in input order for AP.  For AUC, a run of tied scores
-    at descending slots [first, last] shares the mean ascending rank
+    Each row needs a positive and a negative.  A row without a tie has one
+    descending order, which any sort finds; a row with one is sorted again,
+    stably, so tied scores keep input order for AP.  For AUC, a run of tied
+    scores at descending slots [first, last] shares the mean ascending rank
     n - (first + last) / 2; those are half-integers, so the rank sum is exact.
     """
     n = scores.shape[1]
-    order = np.argsort(-scores, axis=1, kind="stable")
-    hits = np.take_along_axis(positive, order, axis=1)
+    order = np.argsort(-scores, axis=1)
     ranked = np.take_along_axis(scores, order, axis=1)
-    run_start = np.ones_like(hits)
-    run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run_start = np.ones_like(positive)
+    run_start[:, 1:] = ranked[:, 1:] != ranked[:, :-1]  # +0.0 and -0.0 tie, as they sort
+    tied = ~run_start.all(axis=1)
+    order[tied] = np.argsort(-scores[tied], axis=1, kind="stable")
+    hits = np.take_along_axis(positive, order, axis=1)
     del order, ranked  # free the two largest arrays before the full-size starts below
     rows, slots = np.nonzero(hits)  # every positive, row by row in rank order
     n_pos = np.bincount(rows)

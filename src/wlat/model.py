@@ -19,6 +19,7 @@ the architecture and every array shape.
 from __future__ import annotations
 
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import BinaryIO, Callable
@@ -33,8 +34,8 @@ from .rng import new_rng
 WEIGHTS_MAGIC = b"WLAM"
 WEIGHTS_VERSION = 1
 
-# Frame rows (clips x frames) per chunk of :func:`predict_scores`, which
-# scores two chunks at once, one per thread.  At paper width the two chunks'
+# Frame rows (clips x frames) per chunk of :func:`predict_scores`, which has
+# two chunks in flight, one per thread.  At paper width the two chunks'
 # widest activations (2 x 400 x 600 floats) stay near the CPU cache; 10000-row
 # chunks spent more time in elementwise passes and page faults than in their
 # GEMMs.  Chunked scores equal one forward over all clips bitwise only at toy
@@ -329,24 +330,37 @@ def _score_chunk(model: MultiLevelModel, chunk: np.ndarray) -> np.ndarray:
 def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
     """Infer-mode class probabilities (n_clips, n_classes); a score not finite raises ValueError.
 
-    Clips are scored in chunks of about :data:`INFER_CHUNK_ROWS` frame
-    rows (at least one clip), two at a time: a helper thread, joined before
-    this returns, scores each odd chunk while the calling thread scores the
-    even one before it.  Memory stays bounded by two chunks and the output,
-    and after a chunk fails at most its partner is scored.  Each chunk is
-    one single-thread forward, so the threads change no bit of any score.
+    Clips are scored in chunks of about :data:`INFER_CHUNK_ROWS` frame rows
+    (at least one clip).  This thread and a helper, joined before this
+    returns, take chunks from one queue: two are in flight, one per thread,
+    and memory stays bounded by them and the output.  After a chunk fails,
+    the other thread finishes the one it holds and takes no more; the first
+    error is raised.  Each chunk is one single-thread forward, so the
+    threads change no bit of any score.
     """
     _check_features(model, features)
     step = max(1, INFER_CHUNK_ROWS // features.shape[1])
     # each chunk's scores are copied into place and freed, not kept for one concatenation
     scores = np.empty((len(features), model.spec.n_classes))
+    starts, lock, errors = iter(range(0, len(features), step)), threading.Lock(), []
+
+    def drain() -> None:
+        try:
+            while True:
+                with lock:  # a failure and the next take are ordered: no chunk starts after one
+                    start = None if errors else next(starts, None)
+                if start is None:
+                    return
+                scores[start : start + step] = _score_chunk(model, features[start : start + step])
+        except BaseException as err:  # raised below, by the caller, once both threads stop
+            with lock:
+                errors.append(err)
+
     with ThreadPoolExecutor(1) as helper:
-        for start in range(0, len(features), 2 * step):
-            mid, end = start + step, start + 2 * step
-            partner = helper.submit(_score_chunk, model, features[mid:end]) if mid < len(features) else None
-            scores[start:mid] = _score_chunk(model, features[start:mid])
-            if partner is not None:
-                scores[mid:end] = partner.result()
+        helper.submit(drain)
+        drain()
+    if errors:
+        raise errors[0]
     if not (finite := np.isfinite(scores).all(axis=1)).all():
         raise ValueError(f"clip {np.argmin(finite)} of {len(scores)} has a score that is not finite")
     return scores

@@ -251,12 +251,13 @@ def test_clip_of_another_shape_is_refused():
 def test_labels_not_strictly_increasing_are_refused_on_write_and_read():
     header = DatasetHeader(1, 1, 4, 1)
     features = np.zeros((1, 1), np.float32)
-    message = re.escape("sample 'x': labels (2, 1) not strictly increasing")
-    with pytest.raises(DatasetFormatError, match=message):
-        write_dataset([Sample("x", features, (2, 1))], header, io.BytesIO())
     raw = write_bytes([Sample("x", features, (1, 2))], header)
-    with pytest.raises(DatasetFormatError, match=message):
-        read_dataset(io.BytesIO(raw[:-4] + struct.pack("<2H", 2, 1)))
+    for labels in ((2, 1), (1, 1)):  # decreasing, and repeated
+        message = re.escape(f"sample 'x': labels {labels} not strictly increasing")
+        with pytest.raises(DatasetFormatError, match=message):
+            write_dataset([Sample("x", features, labels)], header, io.BytesIO())
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset(io.BytesIO(raw[:-4] + struct.pack("<2H", *labels)))
 
 
 # Any float32 value; float64 values float32 cannot hold (beyond its range, below its

@@ -284,9 +284,26 @@ class TestEvaluate:
         assert "*" in table  # class 0 is ranked perfectly, so its AUC clamps
 
 
+def mixed_tie_matrix(seed, n):
+    """Tie-free continuous columns between tied grid columns, one of them of +0.0, -0.0 and
+    a few ones.  At 64 rows and more, a sort partitions rather than insertion-sorting, so
+    an unstable one reorders ties."""
+    rng = new_rng(seed)
+    continuous = rng.random((n, 3))
+    grid = rng.integers(0, 3, size=(n, 2)) / 2.0
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    zeros[rng.random(n) < 0.1] = 1.0
+    scores = np.column_stack([continuous[:, 0], grid[:, 0], continuous[:, 1], zeros,
+                              continuous[:, 2], grid[:, 1]])
+    truth = (rng.random(scores.shape) < [0.5, 0.3, 0.1, 0.4, 0.6, 0.5]).astype(float)
+    return scores, truth
+
+
 # Tie-heavy matrices for the one-sort-per-class pass: (scores, truth), one
 # column per class.
 MATRIX_CASES = {
+    "ties_beside_tie_free_columns_64": mixed_tie_matrix(40, 64),
+    "ties_beside_tie_free_columns_300": mixed_tie_matrix(41, 300),
     "every_score_tied": (
         np.full((6, 4), 0.5),
         [[1, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 1]],

@@ -5,7 +5,9 @@ import io
 import itertools
 import re
 import struct
+import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -34,6 +36,8 @@ from wlat.rng import gaussian, new_rng
 from oracles import checkpoint_with
 
 TOY = dict(hidden_units=5, n_classes=3)
+# clips per predict_scores chunk for six-frame clips
+STEP = INFER_CHUNK_ROWS // 6
 
 
 def toy_model(arch="2-A-1-A", input_dim=4, seed=0):
@@ -216,6 +220,38 @@ class TestForward:
         scores = predict_scores(model, features)
         assert np.array_equal(scores, forward_cached(model, features, INFER).z)
 
+    @pytest.mark.parametrize("n_clips", [1, STEP, 2 * STEP, 3 * STEP, 3 * STEP + 1])
+    def test_predict_scores_equals_its_chunks_scored_in_turn(self, n_clips):
+        # whole multiples of the step, odd and even, end on a full chunk and start no empty one
+        model = toy_model()
+        features = gaussian(new_rng(19), (n_clips, 6, 4))
+        in_turn = [forward_cached(model, features[start : start + STEP], INFER).z
+                   for start in range(0, n_clips, STEP)]
+        assert predict_scores(model, features).tobytes() == np.concatenate(in_turn).tobytes()
+
+    def test_predict_scores_takes_each_chunk_once_under_fast_switching(self, monkeypatch):
+        # 400-frame clips make one-clip chunks; a thread switch every microsecond puts a lost
+        # or repeated take of the shared queue within reach of one call
+        model = toy_model()
+        features = gaussian(new_rng(21), (300, INFER_CHUNK_ROWS, 4))
+        features[:, 0, 0] = np.arange(300)  # each chunk's first value names it
+        real, taken = wlat.model.forward_cached, []
+
+        def recording(model, chunk, *args, **kwargs):
+            taken.append(int(chunk[0, 0, 0]))  # list.append is atomic under the GIL
+            return real(model, chunk, *args, **kwargs)
+
+        in_turn = np.concatenate([real(model, clip[None], INFER).z for clip in features])
+        monkeypatch.setattr(wlat.model, "forward_cached", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scores = predict_scores(model, features)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(300))
+        assert scores.tobytes() == in_turn.tobytes()
+
     def test_float32_features_score_as_their_float64_widening(self):
         model = toy_model()
         n_clips = 5 * INFER_CHUNK_ROWS // (2 * 6) + 1
@@ -286,9 +322,39 @@ class TestForward:
         before = threading.active_count()
         with pytest.raises(MemoryError):
             predict_scores(model, features)
-        # the failing chunk's partner may be scored, and nothing after it
+        # the chunk the other thread holds may be scored, and no chunk is taken after the failure
         assert len(made) <= 4
         assert threading.active_count() == before
+
+    def test_a_failure_on_the_helper_threads_chunk_reaches_the_caller(self, monkeypatch):
+        model = toy_model()
+        features = gaussian(new_rng(20), (10 * STEP, 6, 4))  # ten chunks
+        real, caller, made = wlat.model.forward_cached, threading.current_thread(), []
+        lock, error = threading.Lock(), MemoryError("helper chunk")
+        holding, failed = threading.Event(), threading.Event()
+
+        def helper_fails(*args, **kwargs):
+            on_helper = threading.current_thread() is not caller
+            with lock:
+                made.append(on_helper)
+            if on_helper:  # fails once the caller holds a chunk
+                assert holding.wait(timeout=30)
+                failed.set()
+                raise error
+            # the caller holds its chunk until the helper's has failed, and a while longer
+            holding.set()
+            assert failed.wait(timeout=30)
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wlat.model, "forward_cached", helper_fails)
+        before = threading.enumerate()
+        with pytest.raises(MemoryError) as raised:
+            predict_scores(model, features)
+        assert raised.value is error
+        # the caller finished the chunk it held, and neither thread took another
+        assert sorted(made) == [False, True]
+        assert threading.enumerate() == before
 
     def test_helper_thread_keeps_the_callers_error_handling(self):
         # the last head's classification map overflows to +-inf, on the helper thread too;
@@ -516,6 +582,25 @@ class TestWeightFiles:
             load_weights(io.BytesIO(bytes(blob)))
         except WeightFormatError:
             pass
+
+    def test_zero_running_variance_is_accepted(self):
+        model = toy_model(seed=33)
+        model.state_params()["block0.layer0.running_var"][0] = 0.0
+        buffer = io.BytesIO()
+        save_weights(model, buffer)
+        loaded = load_weights(io.BytesIO(buffer.getvalue()))
+        assert loaded.state_params()["block0.layer0.running_var"][0] == 0.0
+
+    def test_one_input_feature_builds_saves_loads_and_scores(self):
+        model = toy_model(input_dim=1, seed=34)
+        features = gaussian(new_rng(35), (5, 4, 1))
+        buffer = io.BytesIO()
+        save_weights(model, buffer)
+        loaded = load_weights(io.BytesIO(buffer.getvalue()))
+        assert loaded.input_dim == 1
+        scores = predict_scores(loaded, features)
+        assert scores.shape == (5, 3)
+        assert scores.tobytes() == predict_scores(model, features).tobytes()
 
     def test_loaded_model_predicts_identically(self):
         model = toy_model(seed=27)

@@ -127,6 +127,9 @@ class TestTrainConfig:
     def test_zero_learning_rate_allowed(self):
         TrainConfig(arch="3-A", epochs=1, lr=0.0)
 
+    def test_smallest_batch_size_allowed(self):
+        assert TrainConfig(arch="3-A", epochs=1, batch_size=2).batch_size == 2
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -260,12 +263,27 @@ class TestFit:
             assert len(fields) == 6
             assert int(fields[0]) == epoch
             assert int(fields[1]) == epoch * steps_per_epoch
-            float(fields[2])
+            assert float(fields[2]) >= 0.0  # a cross-entropy
             if epoch % 2 == 0 or epoch == 5:
                 assert all(f != "nan" for f in fields[3:])
             else:
                 assert fields[3:] == ["nan", "nan", "nan"]
         assert result.total_steps == 5 * steps_per_epoch
+
+    def test_logged_loss_is_the_batch_loss(self, record_batches):
+        # one batch, lr 0 and no dropout: the epoch's loss is bce_loss of that batch's forward
+        _, train, valid = small_split()
+        batches = record_batches(train)
+        model = small_model("2-A-1-A")
+        initial = model.copy_state()
+        cfg = TrainConfig(arch="2-A-1-A", epochs=1, batch_size=len(train), lr=0.0, dropout=0.0,
+                          seed=9)
+        logged = float(fit(model, train, valid, cfg).log_lines[0].split("\t")[2])
+        model.load_state(initial)
+        [batch] = batches
+        fwd = forward_cached(model, stack_features(train)[batch], TRAIN)
+        expected, _ = bce_loss(fwd.z, stack_targets(train, 4)[batch])
+        assert abs(logged - float(f"{expected:.8f}")) <= 1e-12
 
     def test_label_outside_the_model_classes_names_the_clip(self):
         _, train, _ = small_split()
