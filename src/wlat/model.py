@@ -119,10 +119,6 @@ class MultiLevelModel:
     out: DenseLayer  # (n_classes * n_levels) -> n_classes
     arrays: dict[str, np.ndarray]  # each array above by checkpoint name, in file order
 
-    def state_params(self) -> dict[str, np.ndarray]:
-        """Live views of every persisted array, in file order: training replaces none of them."""
-        return dict(self.arrays)
-
     def trainable_params(self) -> dict[str, np.ndarray]:
         """The state minus batch-norm running statistics, in the same order."""
         return {name: arr for name, arr in self.arrays.items() if ".running_" not in name}
@@ -192,12 +188,11 @@ class ForwardPass:
     """One forward pass over a batch of clips.
 
     A train-mode pass also retains what :func:`backward` needs: ``u``,
-    ``layer_io`` and ``level_io``.  An infer-mode pass retains none of
-    them, so each activation is freed as soon as the next one exists.
+    ``layer_io`` and ``level_io``.  An infer-mode pass keeps only ``z``: each
+    activation and each level's attention weights are freed once used.
     """
 
     z: np.ndarray  # (n_clips, n_classes), final probabilities
-    level_att: list[np.ndarray]  # per level (n_clips, n_frames, n_classes)
     u: np.ndarray | None  # (n_clips, n_classes * n_levels), concatenated level outputs
     # per block, per layer: (dense input, dense output, batch mean, batch var,
     # layer output, dropout mask); the layer output is the batch-norm output
@@ -219,12 +214,14 @@ def forward_cached(
     Train mode normalizes with batch statistics (over all frames of all
     clips), zeroes units at rate ``dropout`` with masks from ``rng``, and
     updates running statistics; infer mode uses running statistics and no
-    dropout.  Features of any dtype (float32 as read or generated) are
-    widened to float64 here, once per call, so a batch or chunk is the most
-    that is ever held at float64 and every kernel computes in float64.
-    The pass runs on the calling thread, in either mode.
+    dropout, though a rate outside [0, 1) raises ValueError in either mode.
+    Features of any dtype (float32 as read or generated) are widened to
+    float64 once per call, so a batch or chunk is the most ever held at
+    float64, and every kernel computes in float64 on the calling thread.
     """
     _check_features(model, features)
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout}")
     use_dropout = mode == TRAIN and dropout > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng for the masks")
@@ -236,7 +233,6 @@ def forward_cached(
     layer_io = []
     level_io = []
     level_y = []
-    level_att = []
     for block, head in zip(model.blocks, model.heads):
         block_io = []
         for layer in block:
@@ -262,12 +258,11 @@ def forward_cached(
         if retain:
             level_io.append((h, weights, frame_probs, denom))
         level_y.append(y)
-        level_att.append(weights)
-        del h, frame_probs, denom  # in infer mode, nothing else holds them
+        del h, weights, frame_probs, denom  # in infer mode, nothing else holds them
 
     u = np.concatenate(level_y, axis=1)
     z = nn.sigmoid(nn.dense_forward(u, model.out))
-    return ForwardPass(z, level_att, u if retain else None, layer_io, level_io)
+    return ForwardPass(z, u if retain else None, layer_io, level_io)
 
 
 def backward(
@@ -411,7 +406,7 @@ def save_weights(model: MultiLevelModel, sink: BinaryIO) -> int:
 
 
 def _state_size(spec: ArchSpec, input_dim: int) -> int:
-    """Float count of :meth:`MultiLevelModel.state_params` for this shape."""
+    """Float count of :attr:`MultiLevelModel.arrays` for this shape."""
     h, k, depth = spec.hidden_units, spec.n_classes, sum(spec.block_depths)
     # dense weights, then bias, gamma, beta and running mean/var per layer
     layers = h * (input_dim + (depth - 1) * h) + 5 * h * depth

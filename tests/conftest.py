@@ -19,6 +19,7 @@ default_blas_threads()
 import numpy as np
 import pytest
 
+from wlat import model as model_module
 from wlat import train as train_module
 from wlat.data import SynthConfig, generate_synthetic
 from wlat.model import PRESET_ARCHS, build_model, model_grad_check, parse_arch, save_weights
@@ -45,6 +46,22 @@ def record_batches(monkeypatch):
         return batches
 
     return start
+
+
+@pytest.fixture
+def record_attention(monkeypatch):
+    """Log each attention head's weights, (n_clips, n_frames, n_classes), in call order: an
+    infer-mode forward keeps none, so they are read where the model's forward gets them."""
+    weights = []
+    real = model_module.forward_batch
+
+    def recording(h, head):
+        y, att, frame_probs, denom = real(h, head)
+        weights.append(att)
+        return y, att, frame_probs, denom
+
+    monkeypatch.setattr(model_module, "forward_batch", recording)
+    return weights
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +94,7 @@ def preset_grad_checks():
         targets = (rng.random((3, 3)) < 0.5).astype(np.float64)
         before = model.copy_state()
         error = model_grad_check(model, features, lambda z: bce_loss(z, targets))
-        state = model.state_params()
+        state = model.arrays
         checks[arch] = error, all(np.array_equal(state[name], arr) for name, arr in before.items())
     return checks, time.monotonic() - start
 

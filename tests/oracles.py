@@ -46,12 +46,12 @@ def checkpoint_with(model, name, index, value):
     """``model``'s checkpoint bytes with element ``index`` of array ``name`` set to ``value``
     in the bytes, so it may be one ``save_weights`` refuses to write.  By the documented
     layout: a header of ``4 * (n_levels + 6)`` bytes, then each array as float64, in
-    ``state_params`` order."""
+    ``model.arrays`` order."""
     buffer = io.BytesIO()
     save_weights(model, buffer)
     blob = bytearray(buffer.getvalue())
     offset = 4 * (model.spec.n_levels + 6)
-    for key, arr in model.state_params().items():
+    for key, arr in model.arrays.items():
         if key == name:
             struct.pack_into("<d", blob, offset + 8 * index, value)
             return bytes(blob)

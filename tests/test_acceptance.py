@@ -213,15 +213,16 @@ def test_criterion_6_synthetic_learning(learning_results):
     )
 
 
-def test_criterion_7_attention_concentration(learning_results):
+def test_criterion_7_attention_concentration(learning_results, record_attention):
     cfg, valid_samples, truth, runs, _, _ = learning_results
     model, _ = runs["2-A-1-A"]
-    prediction = forward_cached(model, stack_features(valid_samples), nn.INFER)
+    forward_cached(model, stack_features(valid_samples), nn.INFER)
+    assert len(record_attention) == model.spec.n_levels
     ratios = []
     for i, sample in enumerate(valid_samples):
         for class_index, frames in truth[sample.id].items():
             uniform_share = len(frames) / cfg.n_frames
-            for att in prediction.level_att:
+            for att in record_attention:
                 mass = float(att[i, list(frames), class_index].sum())
                 ratios.append(mass / uniform_share)
     mean_ratio = float(np.mean(ratios))
@@ -263,9 +264,9 @@ def test_criterion_9_format_round_trips():
     reloaded = load_weights(saved, spec)
     resaved = io.BytesIO()
     save_weights(reloaded, resaved)
-    state = reloaded.state_params()
+    state = reloaded.arrays
     weights_bitwise = saved.getvalue() == resaved.getvalue() and all(
-        np.array_equal(arr, state[name]) for name, arr in model.state_params().items())
+        np.array_equal(arr, state[name]) for name, arr in model.arrays.items())
 
     with pytest.raises(DatasetFormatError, match="magic"):
         read_dataset(io.BytesIO(b"XXXX" + first.getvalue()[4:]))

@@ -179,6 +179,24 @@ def test_oversized_header_fails_before_allocating(n_samples):
     assert peak < 1 << 20
 
 
+def test_size_guard_holds_at_its_bound():
+    # A clip with an empty id and no labels is the least the header implies:
+    # 4 + 4 * 2 * 3 + 2 = 30 bytes here.  Three such clips read back from
+    # exactly 90 bytes; one byte fewer is refused by the guard, before any clip.
+    header = DatasetHeader(n_frames=2, n_features=3, n_classes=4, n_samples=3)
+    samples = [Sample("", np.full((2, 3), i, dtype=np.float32), ()) for i in range(3)]
+    raw = write_bytes(samples, header)
+    assert len(raw) == 24 + 90
+    read_header, loaded = read_dataset(io.BytesIO(raw))
+    assert read_header == header
+    assert [(s.id, s.features.tobytes(), s.labels) for s in loaded] == [
+        (s.id, s.features.tobytes(), s.labels) for s in samples]
+    with pytest.raises(DatasetFormatError) as info:
+        read_dataset(io.BytesIO(raw[:-1]))
+    assert str(info.value) == ("truncated stream while reading sample 2: the header implies"
+                               " at least 90 bytes of samples, 89 present")
+
+
 def test_unknown_version_rejected():
     cfg, samples, _ = small_dataset(n_samples=2)
     raw = bytearray(write_bytes(samples, cfg.header()))

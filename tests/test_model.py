@@ -147,7 +147,7 @@ class TestBuild:
 
     def test_trainables_are_state_without_running_stats(self):
         model = toy_model()
-        state = model.state_params()
+        state = model.arrays
         trainable = model.trainable_params()
         expected = [n for n in state if not n.endswith(("running_mean", "running_var"))]
         assert list(trainable) == expected
@@ -169,8 +169,8 @@ class TestForward:
         fwd = forward_cached(model, features, TRAIN)
         assert fwd.z.shape == (5, 3)
         assert fwd.u.shape == (5, 6)
-        assert len(fwd.level_att) == 2
-        assert all(att.shape == (5, 6, 3) for att in fwd.level_att)
+        assert len(fwd.level_io) == 2
+        assert all(weights.shape == (5, 6, 3) for _, weights, _, _ in fwd.level_io)
         assert ((fwd.z > 0.0) & (fwd.z < 1.0)).all()
 
     def test_infer_is_deterministic(self):
@@ -281,6 +281,25 @@ class TestForward:
             # ReLU runs in place on the batch-norm output and each activation is
             # freed once the next exists, so at most two per thread are live at a time
             assert max(peaks) < 3.0 * unit, clips.dtype
+
+    def test_infer_memory_does_not_grow_with_the_levels(self):
+        # The byte unit is one level's (rows x classes) attention weights.  An
+        # infer-mode forward frees each level's weights with its other
+        # temporaries, so a level adds only its (clips x classes) output.
+        n_classes = 256
+        unit = 1000 * n_classes * 8
+        features = gaussian(new_rng(17), (100, 10, 16))
+        peaks = {}
+        for arch in ("3-A", "1-A-1-A-1-A"):
+            model = build_model(parse_arch(arch, hidden_units=16, n_classes=n_classes), 16, 0)
+            tracemalloc.start()
+            try:
+                forward_cached(model, features, INFER)
+                peaks[arch] = tracemalloc.get_traced_memory()[1] / unit
+            finally:
+                tracemalloc.stop()
+        assert peaks["1-A-1-A-1-A"] < 4.0, peaks
+        assert peaks["1-A-1-A-1-A"] - peaks["3-A"] < 0.5, peaks
 
     def test_predict_scores_refuses_a_score_that_is_not_finite(self):
         model = toy_model()
@@ -422,8 +441,8 @@ class TestWeightFiles:
         save_weights(model, buffer)
         buffer.seek(0)
         loaded = load_weights(buffer, model.spec)
-        for name, arr in model.state_params().items():
-            assert np.array_equal(arr, loaded.state_params()[name]), name
+        for name, arr in model.arrays.items():
+            assert np.array_equal(arr, loaded.arrays[name]), name
 
     def test_reserialization_is_identical(self):
         model = toy_model(seed=23)
@@ -474,8 +493,8 @@ class TestWeightFiles:
         loaded = load_weights(buffer)
         assert loaded.spec == model.spec
         assert loaded.input_dim == 7
-        for name, arr in model.state_params().items():
-            assert np.array_equal(arr, loaded.state_params()[name]), name
+        for name, arr in model.arrays.items():
+            assert np.array_equal(arr, loaded.arrays[name]), name
 
     def test_bytes_match_the_version_one_layout(self):
         model = build_model(parse_arch("2-A-1-A", **TOY), 4, init_seed=3)
@@ -499,7 +518,7 @@ class TestWeightFiles:
     ], ids=["nan", "negative-variance"])
     def test_save_refuses_what_load_refuses_before_writing(self, name, value, message):
         model = toy_model(seed=32)
-        model.state_params()[name][0] = value
+        model.arrays[name][0] = value
         sink = io.BytesIO()
         with pytest.raises(WeightFormatError) as info:
             save_weights(model, sink)
@@ -512,7 +531,7 @@ class TestWeightFiles:
     @given(data=st.data())
     def test_a_saved_checkpoint_loads_back_bitwise_or_is_refused(self, data):
         model = toy_model(seed=31)
-        params = model.state_params()
+        params = model.arrays
         name = data.draw(st.sampled_from(sorted(params)), label="array")
         index = data.draw(st.integers(0, params[name].size - 1), label="index")
         params[name].flat[index] = data.draw(
@@ -524,7 +543,7 @@ class TestWeightFiles:
         except WeightFormatError as err:
             assert str(err).endswith(f" in {name}") and sink.getvalue() == b""
             return
-        loaded = load_weights(io.BytesIO(sink.getvalue())).state_params()
+        loaded = load_weights(io.BytesIO(sink.getvalue())).arrays
         for key, arr in params.items():
             assert loaded[key].tobytes() == arr.tobytes(), key
 
@@ -585,11 +604,11 @@ class TestWeightFiles:
 
     def test_zero_running_variance_is_accepted(self):
         model = toy_model(seed=33)
-        model.state_params()["block0.layer0.running_var"][0] = 0.0
+        model.arrays["block0.layer0.running_var"][0] = 0.0
         buffer = io.BytesIO()
         save_weights(model, buffer)
         loaded = load_weights(io.BytesIO(buffer.getvalue()))
-        assert loaded.state_params()["block0.layer0.running_var"][0] == 0.0
+        assert loaded.arrays["block0.layer0.running_var"][0] == 0.0
 
     def test_one_input_feature_builds_saves_loads_and_scores(self):
         model = toy_model(input_dim=1, seed=34)

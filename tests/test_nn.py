@@ -222,7 +222,7 @@ def test_dropout_rate_zero_is_identity():
     assert masks.bit_generator.state == untouched
 
 
-def test_dropout_infer_is_identity():
+def test_dropout_infer_is_identity(record_attention):
     # Infer mode applies no dropout, so a layer's output is its ReLU output,
     # unscaled: a rate-0.4 forward scores exactly like a rate-0 one and
     # draws nothing.
@@ -235,7 +235,18 @@ def test_dropout_infer_is_identity():
     plain = forward_cached(model, x, nn.INFER)
     assert masks.bit_generator.state == untouched
     assert np.array_equal(dropped.z, plain.z)
-    assert np.array_equal(dropped.level_att[0], plain.level_att[0])
+    dropped_att, plain_att = record_attention  # one head, one forward each
+    assert np.array_equal(dropped_att, plain_att)
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan")])
+def test_forward_refuses_a_dropout_rate_outside_the_unit_interval(rate):
+    masks = new_rng(0)
+    untouched = masks.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        forward_cached(dropout_model(), gaussian(new_rng(9), (4, 3, 4)), nn.TRAIN, masks, rate)
+    assert str(info.value) == f"dropout rate must be in [0, 1), got {rate}"
+    assert masks.bit_generator.state == untouched
 
 
 def test_dropout_preserves_expectation():

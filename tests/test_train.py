@@ -205,13 +205,13 @@ class TestFit:
         _, train, valid = small_split()
         model = small_model("2-A-1-A")
         initial = model.copy_state()
-        views = model.state_params()
+        views = dict(model.arrays)  # the entries as they stand before the step
         if step == "fit":
             fit(model, train, valid,
                 TrainConfig(arch="2-A-1-A", epochs=2, batch_size=8, lr=0.01, seed=9))
         else:
             forward_cached(model, stack_features(train), TRAIN, new_rng(1), 0.4)
-        fresh = model.state_params()
+        fresh = model.arrays
         assert list(views) == list(fresh) == list(held_arrays(model))
         for name, arr in held_arrays(model).items():
             assert views[name] is arr and fresh[name] is arr, name
@@ -231,8 +231,8 @@ class TestFit:
             results.append(fit(model, train, valid, cfg))
             models.append(model)
         assert results[0].log_lines == results[1].log_lines
-        for name, arr in models[0].state_params().items():
-            assert np.array_equal(arr, models[1].state_params()[name]), name
+        for name, arr in models[0].arrays.items():
+            assert np.array_equal(arr, models[1].arrays[name]), name
 
     def test_checkpoint_is_the_whole_model(self):
         # A model and its save/load round trip train identically under one
@@ -375,7 +375,7 @@ class TestFit:
         with pytest.raises(ValueError, match="validation"):
             fit(model, train, valid[:1], cfg)
         assert batches == []
-        for name, arr in model.state_params().items():
+        for name, arr in model.arrays.items():
             assert np.array_equal(arr, before[name]), name
 
     def test_non_finite_loss_names_epoch_and_step(self, record_batches):
@@ -415,7 +415,7 @@ class TestFit:
                            match="gradient head0.att.weight is not finite at epoch 1, step 2$"):
             fit(model, train, valid, cfg)
         assert len(before_update) == 2
-        for name, arr in model.state_params().items():
+        for name, arr in model.arrays.items():
             assert np.array_equal(arr, before_update[1][name]), name
 
     def test_float32_features_train_as_their_float64_widening(self):
