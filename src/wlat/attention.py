@@ -41,7 +41,7 @@ class AttentionHead:
 
     @property
     def n_classes(self) -> int:
-        return self.att_dense.n_out
+        return self.att_dense.weight.shape[1]
 
 
 def forward_batch(

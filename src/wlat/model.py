@@ -90,7 +90,7 @@ def parse_arch(text: str, hidden_units: int, n_classes: int) -> ArchSpec:
     pos = 0
     for i, token in enumerate(tokens):
         if i % 2 == 0:
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise ValueError(f"arch {text!r}: expected integer at position {pos}, got {token!r}")
             depth = int(token)
             if depth < 1:
@@ -103,18 +103,10 @@ def parse_arch(text: str, hidden_units: int, n_classes: int) -> ArchSpec:
 
 
 @dataclass
-class LayerStack:
-    """One hidden layer of an embedding block: dense + batch norm (+ ReLU)."""
-
-    dense: DenseLayer
-    bn: BatchNormState
-
-
-@dataclass
 class MultiLevelModel:
     spec: ArchSpec
     input_dim: int
-    blocks: list[list[LayerStack]]
+    blocks: list[list[tuple[DenseLayer, BatchNormState]]]  # per block, per hidden layer
     heads: list[AttentionHead]
     out: DenseLayer  # (n_classes * n_levels) -> n_classes
     arrays: dict[str, np.ndarray]  # each array above by checkpoint name, in file order
@@ -127,8 +119,12 @@ class MultiLevelModel:
         return {name: arr.copy() for name, arr in self.arrays.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the model's arrays; names and shapes are checked before any write."""
         if self.arrays.keys() != state.keys():
             raise ValueError("state dict does not match model structure")
+        for name, arr in self.arrays.items():
+            if (got := np.shape(state[name])) != arr.shape:
+                raise ValueError(f"state {name} has shape {got}, the model {arr.shape}")
         for name, arr in self.arrays.items():
             arr[...] = state[name]
 
@@ -150,8 +146,8 @@ def _assemble(spec: ArchSpec, input_dim: int) -> MultiLevelModel:
         return named(prefix, DenseLayer(np.zeros((n_in, n_out)), np.zeros(n_out)))
 
     blocks = [
-        [LayerStack(dense(f"block{b}.layer{j}", input_dim if (b, j) == (0, 0) else h, h),
-                    named(f"block{b}.layer{j}", BatchNormState.init(h)))
+        [(dense(f"block{b}.layer{j}", input_dim if (b, j) == (0, 0) else h, h),
+          named(f"block{b}.layer{j}", BatchNormState.init(h)))
          for j in range(depth)]
         for b, depth in enumerate(spec.block_depths)
     ]
@@ -235,14 +231,14 @@ def forward_cached(
     level_y = []
     for block, head in zip(model.blocks, model.heads):
         block_io = []
-        for layer in block:
+        for dense, bn in block:
             # Only x carries an activation from one step to the next, so in
             # infer mode each layer's input and dense output are freed as
             # soon as they are used.
             dense_in = x if retain else None
-            x = nn.dense_forward(x, layer.dense)
+            x = nn.dense_forward(x, dense)
             dense_out = x if retain else None
-            x, mean, var = nn.batchnorm_forward(x, layer.bn, mode)
+            x, mean, var = nn.batchnorm_forward(x, bn, mode)
             nn.relu(x)
             mask = None
             if use_dropout:
@@ -299,27 +295,20 @@ def backward(
             grad_x += grad_from_above
 
         # grad_x is always a fresh array here, so the kernels may overwrite it
-        for j in range(len(model.blocks[l]) - 1, -1, -1):
-            layer = model.blocks[l][j]
-            dense_in, dense_out, mean, var, out, mask = fwd.layer_io[l][j]
+        for (dense, bn), (dense_in, dense_out, mean, var, out, mask) in zip(
+            reversed(model.blocks[l]), reversed(fwd.layer_io[l])
+        ):
             if mask is not None:
                 grad_x *= mask
             # out > 0 only where the batch-norm output was > 0; where dropout
             # zeroed a unit, grad_x is already zero
             grad_x = nn.relu_backward(out, grad_x)
-            grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(
-                dense_out, mean, var, layer.bn, grad_x
-            )
-            grad_x, grad_w, grad_b = nn.dense_backward(dense_in, layer.dense, grad_x)
+            grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(dense_out, mean, var, bn, grad_x)
+            grad_x, grad_w, grad_b = nn.dense_backward(dense_in, dense, grad_x)
             block_grads[:0] = (grad_w, grad_b, grad_gamma, grad_beta)
         grad_from_above = grad_x
     grads = [*block_grads, *head_grads, *out_grads]
     return dict(zip(model.trainable_params(), grads, strict=True))
-
-
-def _score_chunk(model: MultiLevelModel, chunk: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):  # a model that overflows is refused, not warned of
-        return forward_cached(model, chunk, INFER).z
 
 
 def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
@@ -330,23 +319,25 @@ def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
     returns, take chunks from one queue: two are in flight, one per thread,
     and memory stays bounded by them and the output.  After a chunk fails,
     the other thread finishes the one it holds and takes no more; the first
-    error is raised.  Each chunk is one single-thread forward, so the
-    threads change no bit of any score.
+    error is raised.  Each chunk is one single-thread forward, under its
+    thread's own numpy error state, so the threads change no bit of any score.
     """
     _check_features(model, features)
     step = max(1, INFER_CHUNK_ROWS // features.shape[1])
     # each chunk's scores are copied into place and freed, not kept for one concatenation
     scores = np.empty((len(features), model.spec.n_classes))
-    starts, lock, errors = iter(range(0, len(features), step)), threading.Lock(), []
+    chunks = iter([slice(start, start + step) for start in range(0, len(features), step)])
+    lock, errors = threading.Lock(), []
 
     def drain() -> None:
         try:
             while True:
                 with lock:  # a failure and the next take are ordered: no chunk starts after one
-                    start = None if errors else next(starts, None)
-                if start is None:
+                    rows = None if errors else next(chunks, None)
+                if rows is None:
                     return
-                scores[start : start + step] = _score_chunk(model, features[start : start + step])
+                with np.errstate(all="ignore"):  # a model that overflows is refused, not warned of
+                    scores[rows] = forward_cached(model, features[rows], INFER).z
         except BaseException as err:  # raised below, by the caller, once both threads stop
             with lock:
                 errors.append(err)

@@ -48,21 +48,15 @@ def glorot_uniform(rng: np.random.Generator, weight: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DenseLayer:
+    """An affine map ``x @ weight + bias``; its shape is ``weight.shape``."""
+
     weight: np.ndarray  # (n_in, n_out)
     bias: np.ndarray  # (n_out,)
 
-    @property
-    def n_in(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def n_out(self) -> int:
-        return self.weight.shape[1]
-
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
-    if x.ndim != 2 or x.shape[1] != layer.n_in:
-        raise ValueError(f"dense input shape {x.shape} incompatible with n_in={layer.n_in}")
+    if x.ndim != 2 or x.shape[1] != layer.weight.shape[0]:
+        raise ValueError(f"dense input shape {x.shape} incompatible with n_in={layer.weight.shape[0]}")
     out = x @ layer.weight
     out += layer.bias
     return out
@@ -72,10 +66,8 @@ def dense_backward(
     x: np.ndarray, layer: DenseLayer, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (grad_x, grad_weight, grad_bias)."""
-    if grad_out.shape != (x.shape[0], layer.n_out):
-        raise ValueError(
-            f"grad shape {grad_out.shape} incompatible with ({x.shape[0]}, {layer.n_out})"
-        )
+    if grad_out.shape != (want := (x.shape[0], layer.weight.shape[1])):
+        raise ValueError(f"grad shape {grad_out.shape} incompatible with {want}")
     return grad_out @ layer.weight.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 

@@ -95,6 +95,17 @@ def test_forward_rejects_empty_frames():
         forward_batch(np.zeros((1, 3, 5)), head)
 
 
+@pytest.mark.parametrize("grad_shape", [(2, 4), (3, 3), (2, 1, 3)])
+def test_backward_refuses_a_grad_of_another_shape(grad_shape):
+    rng = new_rng(1)
+    head = random_head(rng, 5, 3)
+    h = gaussian(rng, (2, 6, 5))
+    _, weights, frame_probs, denom = forward_batch(h, head)
+    with pytest.raises(ValueError) as err:
+        backward_batch(h, head, weights, frame_probs, denom, np.zeros(grad_shape))
+    assert str(err.value) == f"grad shape {grad_shape} != (2, 3)"
+
+
 def test_backward_zero_grad_gives_zero():
     rng = new_rng(1)
     head = random_head(rng, 5, 3)

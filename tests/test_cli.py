@@ -709,7 +709,7 @@ def test_checkpoint_that_overflows_is_one_error_line(wide_checkpoint, tmp_path, 
     data_path, model_path = wide_checkpoint
     with open(model_path, "rb") as handle:
         model = load_weights(handle)
-    model.blocks[0][0].dense.weight[...] = 1.7e308  # finite, so the checkpoint loads
+    model.arrays["block0.layer0.weight"][...] = 1.7e308  # finite, so the checkpoint loads
     overflowing = tmp_path / "overflow.wlam"
     with open(overflowing, "wb") as handle:
         save_weights(model, handle)
@@ -978,8 +978,10 @@ def test_negative_seed_names_its_setting_before_any_work(tiny_dataset, tmp_path,
     (("predict", "--hidden-units", -3), "--hidden-units must be >= 1, got -3"),
     (("evaluate", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
     (("predict", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
+    (("train", "--arch", "²-A"), "arch '²-A': expected integer at position 0, got '²'"),
+    (("evaluate", "--arch", "٣-A"), "arch '٣-A': expected integer at position 0, got '٣'"),
 ], ids=["train-arch", "train-hidden-units", "evaluate-hidden-units", "predict-hidden-units",
-        "evaluate-arch", "predict-arch"])
+        "evaluate-arch", "predict-arch", "train-arch-superscript-digit", "evaluate-arch-arabic-digit"])
 def test_model_flags_are_checked_before_any_input_is_read(tiny_dataset, wide_checkpoint, tmp_path,
                                                           monkeypatch, capsys, argv, message):
     def never(*args, **kwargs):
@@ -1004,7 +1006,10 @@ def test_model_flags_are_checked_before_any_input_is_read(tiny_dataset, wide_che
     (("train", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
     (("evaluate", "--hidden-units", 0), "--hidden-units must be >= 1, got 0"),
     (("predict", "--arch", "2-B"), "arch '2-B': expected 'A' at position 2, got 'B'"),
-], ids=["train-hidden-units", "train-arch", "evaluate-hidden-units", "predict-arch"])
+    (("train", "--arch", "٣-A"), "arch '٣-A': expected integer at position 0, got '٣'"),
+    (("predict", "--arch", "²-A"), "arch '²-A': expected integer at position 0, got '²'"),
+], ids=["train-hidden-units", "train-arch", "evaluate-hidden-units", "predict-arch",
+        "train-arch-arabic-digit", "predict-arch-superscript-digit"])
 def test_flags_are_checked_before_any_path(tiny_dataset, wide_checkpoint, tmp_path, monkeypatch,
                                            capsys, argv, message):
     # every output path below breaks the file rule; a bad flag must be named first

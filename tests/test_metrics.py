@@ -73,6 +73,20 @@ class TestAveragePrecision:
         expected = oracle_average_precision(scores.tolist(), mask.tolist())
         assert abs(average_precision(scores, np.flatnonzero(mask)) - expected) < 1e-12
 
+    @pytest.mark.parametrize("positives", [[3], [-1], [0, 3], [-1, 1]])
+    @pytest.mark.parametrize("metric", [average_precision, auc])
+    def test_positive_index_out_of_range_is_refused(self, metric, positives):
+        with pytest.raises(ValueError) as err:
+            metric(np.array([0.3, 0.2, 0.1]), positives)
+        assert str(err.value) == "positive index out of range for 3 scores"
+
+    @pytest.mark.parametrize("positives", [[1, 1], [0, 2, 0]])
+    @pytest.mark.parametrize("metric", [average_precision, auc])
+    def test_duplicate_positive_indices_are_refused(self, metric, positives):
+        with pytest.raises(ValueError) as err:
+            metric(np.array([0.3, 0.2, 0.1]), positives)
+        assert str(err.value) == "duplicate positive indices"
+
     def test_tied_scores_keep_input_order(self):
         # All scores equal: the stable order is the input order, so AP depends
         # only on the positions of the positives.

@@ -71,6 +71,14 @@ class TestParseArch:
         with pytest.raises(ValueError):
             parse_arch(text, **TOY)
 
+    @pytest.mark.parametrize("text,digit", [("²-A", "²"), ("٣-A", "٣"), ("1-A-٢-A", "٢")],
+                             ids=["superscript-two", "arabic-indic-three", "second-depth"])
+    def test_only_ascii_digits_are_depths(self, text, digit):
+        pos = text.index(digit)
+        with pytest.raises(ValueError) as err:
+            parse_arch(text, **TOY)
+        assert str(err.value) == f"arch {text!r}: expected integer at position {pos}, got {digit!r}"
+
     def test_zero_depth_rejected(self):
         with pytest.raises(ValueError):
             parse_arch("0-A", **TOY)
@@ -97,14 +105,14 @@ class TestBuild:
         assert len(model.blocks[0]) == 3
         assert len(model.heads) == 1
         assert model.out.weight.shape == (527, 527)
-        assert model.blocks[0][0].dense.weight.shape == (128, 600)
-        assert model.blocks[0][1].dense.weight.shape == (600, 600)
+        assert model.arrays["block0.layer0.weight"].shape == (128, 600)
+        assert model.arrays["block0.layer1.weight"].shape == (600, 600)
 
     def test_multi_level_output_width(self):
         spec = parse_arch("2-A-1-A", hidden_units=600, n_classes=527)
         model = build_model(spec, input_dim=64, init_seed=0)
         assert model.out.weight.shape == (2 * 527, 527)
-        assert model.blocks[1][0].dense.weight.shape == (600, 600)
+        assert model.arrays["block1.layer0.weight"].shape == (600, 600)
 
     def test_same_seed_is_bitwise_identical(self):
         a = toy_model(seed=7)
@@ -153,6 +161,43 @@ class TestBuild:
         assert list(trainable) == expected
         assert len(state) - len(trainable) == 2 * 3  # three hidden layers
         assert all(trainable[n] is state[n] for n in trainable)
+
+
+class TestLoadState:
+    def assert_unchanged(self, model, before):
+        assert list(model.arrays) == list(before)
+        for name, arr in model.arrays.items():
+            assert arr.tobytes() == before[name].tobytes(), name
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("out.weight", np.float64(2.0), "state out.weight has shape (), the model (3, 3)"),
+        ("head0.cls.weight", np.full(3, 2.0), "state head0.cls.weight has shape (3,), the model (5, 3)"),
+        ("head0.att.weight", np.full(5, 2.0), "state head0.att.weight has shape (5,), the model (5, 3)"),
+    ], ids=["scalar", "broadcastable-row", "unbroadcastable-row"])
+    def test_a_wrong_shape_is_refused_before_any_array_is_written(self, name, value, message):
+        model = toy_model("1-A", seed=3)
+        before = model.copy_state()
+        # every other entry differs from the model, so a partial write would show
+        state = {n: arr + 1.0 for n, arr in before.items()}
+        state[name] = value
+        with pytest.raises(ValueError) as err:
+            model.load_state(state)
+        assert str(err.value) == message
+        self.assert_unchanged(model, before)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_a_wrong_name_is_refused_before_any_array_is_written(self, change):
+        model = toy_model("1-A", seed=3)
+        before = model.copy_state()
+        state = {n: arr + 1.0 for n, arr in before.items()}
+        if change == "missing":
+            del state["out.bias"]
+        else:
+            state["out.scale"] = np.ones(3)
+        with pytest.raises(ValueError) as err:
+            model.load_state(state)
+        assert str(err.value) == "state dict does not match model structure"
+        self.assert_unchanged(model, before)
 
 
 class TestForward:
@@ -303,7 +348,7 @@ class TestForward:
 
     def test_predict_scores_refuses_a_score_that_is_not_finite(self):
         model = toy_model()
-        model.blocks[0][0].dense.weight[...] = 1.7e308  # finite, so a valid checkpoint
+        model.arrays["block0.layer0.weight"][...] = 1.7e308  # finite, so a valid checkpoint
         # clips of zeros score finitely; the first overflowing clip lies in the second chunk
         n_clips = INFER_CHUNK_ROWS // 6 + 20
         features = np.zeros((n_clips, 6, 4))
@@ -321,7 +366,7 @@ class TestForward:
         before = threading.active_count()
         predict_scores(model, features)
         assert threading.active_count() == before
-        model.blocks[0][0].dense.weight[...] = 1.7e308  # every clip now scores NaN
+        model.arrays["block0.layer0.weight"][...] = 1.7e308  # every clip now scores NaN
         with pytest.raises(ValueError, match="^clip 0 of"):
             predict_scores(model, features)
         assert threading.active_count() == before
@@ -407,6 +452,13 @@ class TestBackward:
         params = model.trainable_params()
         assert list(grads) == list(params)
         assert [g.shape for g in grads.values()] == [p.shape for p in params.values()]
+
+    def test_grad_z_of_another_shape_is_refused(self):
+        model = toy_model()
+        fwd = forward_cached(model, gaussian(new_rng(9), (4, 6, 4)), TRAIN)
+        with pytest.raises(ValueError) as err:
+            backward(model, fwd, np.zeros((4, 2)))
+        assert str(err.value) == "grad_z shape (4, 2) != (4, 3)"
 
     def test_zero_grad_gives_zero_everywhere(self):
         model = toy_model()

@@ -55,6 +55,21 @@ def test_dense_shape_mismatch():
         nn.dense_forward(np.zeros((2, 4)), layer)
 
 
+def test_dense_forward_names_the_layer_input_width():
+    layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(ValueError) as err:
+        nn.dense_forward(np.zeros((2, 4)), layer)
+    assert str(err.value) == "dense input shape (2, 4) incompatible with n_in=3"
+
+
+@pytest.mark.parametrize("grad_shape", [(3, 3), (2, 2), (3,)])
+def test_dense_backward_refuses_a_grad_of_another_shape(grad_shape):
+    layer = nn.DenseLayer(np.zeros((4, 2)), np.zeros(2))
+    with pytest.raises(ValueError) as err:
+        nn.dense_backward(np.zeros((3, 4)), layer, np.zeros(grad_shape))
+    assert str(err.value) == f"grad shape {grad_shape} incompatible with (3, 2)"
+
+
 def test_dense_backward_zero_grad():
     rng = new_rng(1)
     x = gaussian(rng, (3, 4))
@@ -177,6 +192,15 @@ def test_batchnorm_rejects_single_row_in_train_mode():
         nn.batchnorm_forward(np.zeros((1, 3)), state, nn.TRAIN)
 
 
+@pytest.mark.parametrize("mode", ["eval", "TRAIN", None])
+def test_batchnorm_refuses_an_unknown_mode(mode):
+    state = nn.BatchNormState.init(3)
+    with pytest.raises(ValueError) as err:
+        nn.batchnorm_forward(np.arange(6.0).reshape(2, 3), state, mode)
+    assert str(err.value) == f"mode must be 'train' or 'infer', got {mode!r}"
+    assert not state.running_mean.any() and (state.running_var == 1.0).all()
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_batchnorm_backward_finite_differences(seed):
     rng = new_rng(seed + 100)
@@ -206,7 +230,7 @@ def first_layer_dropout(model, features, rng, rate):
     """(relu output, mask, block output) of the model's first hidden layer, in train mode."""
     fwd = forward_cached(model, features, nn.TRAIN, rng, rate)
     _, dense_out, _, _, _, mask = fwd.layer_io[0][0]
-    bn_out, _, _ = nn.batchnorm_forward(dense_out, model.blocks[0][0].bn, nn.TRAIN)
+    bn_out, _, _ = nn.batchnorm_forward(dense_out, model.blocks[0][0][1], nn.TRAIN)
     block_out = fwd.level_io[0][0].reshape(bn_out.shape)
     return nn.relu(bn_out), mask, block_out
 

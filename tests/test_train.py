@@ -187,7 +187,7 @@ def held_arrays(model):
     held = {}
     for b, block in enumerate(model.blocks):
         for j, layer in enumerate(block):
-            dense, bn = layer.dense, layer.bn
+            dense, bn = layer
             for name, arr in (("weight", dense.weight), ("bias", dense.bias), ("gamma", bn.gamma),
                               ("beta", bn.beta), ("running_mean", bn.running_mean),
                               ("running_var", bn.running_var)):
