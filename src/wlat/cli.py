@@ -258,8 +258,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> Result:
 
     cfg = _config(SynthConfig, args)
     n_valid = args.valid_samples or 0
-    if not 0 <= n_valid < cfg.n_samples:
-        raise ValueError(f"--valid-samples must be >= 0 and < --n-samples {cfg.n_samples},"
+    if args.valid_out is not None and not 1 <= n_valid < cfg.n_samples:
+        raise ValueError(f"--valid-samples must be >= 1 and < --n-samples {cfg.n_samples},"
                          f" got {n_valid}")
     outputs = ("out", "valid_out", "truth_out", "valid_truth_out")
     paths = {name: getattr(args, name) for name in outputs if getattr(args, name) is not None}

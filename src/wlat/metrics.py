@@ -7,6 +7,9 @@ only a class holding a tie is sorted again, stably: tied scores keep input
 order for AP and share their mean rank for AUC.  d-prime maps AUC through the
 inverse standard normal CDF (``statistics.NormalDist.inv_cdf``): the
 separation of two unit-variance Gaussians whose overlap reproduces that AUC.
+:func:`evaluate` ranks classes in blocks of at most :data:`RANK_BLOCK_VALUES`
+scores, so its temporaries stay cache-sized; each class is ranked on its own,
+so the blocks change no bit.
 
 Classes with no positives or no negatives are undefined under all three
 metrics; they are excluded from aggregates and reported separately.
@@ -24,6 +27,10 @@ import numpy as np
 # AUC values this close to 0 or 1 are clamped before the quantile, keeping
 # d-prime finite (the cap is about 7.35); clamping sets a warning flag.
 AUC_CLAMP = 1e-7
+
+# 512 KiB per float64 temporary, inside one core's L2 cache: at 4000 x 527 the
+# traced peak is 0.25 score matrices, where one pass over every class held 3.5.
+RANK_BLOCK_VALUES = 1 << 16
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -176,8 +183,12 @@ def evaluate(scores: np.ndarray, truth: np.ndarray) -> EvalReport:
     reasons = exclusion_reasons(truth)
     excluded = [(k, reason) for k, reason in enumerate(reasons) if reason is not None]
     included = [k for k, reason in enumerate(reasons) if reason is None]
-    # one row per class, so each row's sort runs over contiguous memory
-    aps, aucs, counts = _rank_pass(scores.T[included], (truth == 1).T[included])
+    # one row per class, so each row's sort runs over contiguous memory; a block
+    # holds at least one class, and an all-excluded set makes one empty block
+    step = max(1, RANK_BLOCK_VALUES // len(scores))
+    blocks = (included[start : start + step] for start in range(0, len(included) or 1, step))
+    passes = [_rank_pass(scores.T[rows], truth.T[rows] == 1) for rows in blocks]
+    aps, aucs, counts = (np.concatenate(part) for part in zip(*passes))
     per_class = [
         ClassMetrics(
             index=k,

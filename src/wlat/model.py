@@ -36,12 +36,16 @@ WEIGHTS_VERSION = 1
 
 # Frame rows (clips x frames) per chunk of :func:`predict_scores`, which has
 # two chunks in flight, one per thread.  At paper width the two chunks'
-# widest activations (2 x 400 x 600 floats) stay near the CPU cache; 10000-row
+# widest activations (2 x 360 x 600 floats) stay near the CPU cache; 10000-row
 # chunks spent more time in elementwise passes and page faults than in their
-# GEMMs.  Chunked scores equal one forward over all clips bitwise only at toy
-# widths: at paper shape BLAS rounds the tail rows of a GEMM differently, and
-# 0.16-0.25% of scores differ, by at most 5.6e-16.
-INFER_CHUNK_ROWS = 400
+# GEMMs.  Smaller chunks lower the traced peak on 1000 paper-shape clips (19.2
+# MB at 400 rows, 17.7 at 360, 13.2 at 240), but at synth-train shape a chunk
+# is mostly per-call cost: 360 rows took 1.04x the time of 400 (quartiles
+# 0.97-1.10), 320 1.10x and 240 1.33x.  Chunked scores equal one forward over
+# all clips bitwise only at toy widths: at paper shape BLAS rounds the tail
+# rows of a GEMM differently, and 0.16-0.25% of scores differ, by at most
+# 5.6e-16 (0.24% by at most 3.3e-16 between 360- and 400-row chunks).
+INFER_CHUNK_ROWS = 360
 
 # The architecture grammar: dense-layer counts separated by attention taps.
 PRESET_ARCHS = (

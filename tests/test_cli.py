@@ -23,7 +23,14 @@ from hypothesis import strategies as st
 import wlat
 from wlat import cli
 from wlat import train as train_module
-from wlat.data import SynthConfig, generate_synthetic, read_dataset, stack_features, write_dataset
+from wlat.data import (
+    DatasetHeader,
+    SynthConfig,
+    generate_synthetic,
+    read_dataset,
+    stack_features,
+    write_dataset,
+)
 from wlat.model import (
     PRESET_ARCHS,
     build_model,
@@ -42,6 +49,14 @@ def run_cli(*argv):
 
 
 GEN_FLAGS = ("--n-classes", 5, "--n-samples", 12, "--n-frames", 4, "--n-features", 6)
+
+
+def write_clipless_dataset(path):
+    """A header-only ``.wlad`` of GEN_FLAGS' shape: a valid file that holds no clips."""
+    with open(path, "wb") as handle:
+        write_dataset([], DatasetHeader(n_frames=4, n_features=6, n_classes=5, n_samples=0),
+                      handle)
+    return path
 
 
 def test_list_archs_prints_all_presets(capsys):
@@ -183,21 +198,6 @@ def test_gen_data_fails_before_generating_or_writing(tmp_path, monkeypatch, caps
     assert run_cli("gen-data", "--out", "x.wlad", *flags) == code
     assert message in capsys.readouterr().err
     assert (tmp_path / "x.wlad").read_bytes() == b"keep me"
-
-
-def test_gen_data_empty_valid_split_is_header_only(tmp_path, capsys):
-    valid = tmp_path / "valid.wlad"
-    valid_truth = tmp_path / "valid.truth"
-    assert run_cli("gen-data", *GEN_FLAGS, "--out", tmp_path / "train.wlad",
-                   "--valid-out", valid, "--valid-samples", 0,
-                   "--valid-truth-out", valid_truth) == 0
-    assert len(valid.read_bytes()) == 24
-    with open(valid, "rb") as handle:
-        header, samples = read_dataset(handle)
-    assert header.n_samples == 0 and samples == []
-    assert (header.n_frames, header.n_features, header.n_classes) == (4, 6, 5)
-    assert valid_truth.read_text() == ""
-    assert capsys.readouterr().err == ""
 
 
 def test_config_file_supplies_flags_and_flags_override(tmp_path):
@@ -403,9 +403,8 @@ def test_train_makes_no_output_directory_when_training_fails(tiny_dataset, tmp_p
     train, valid = tiny_dataset
     arch = "2-B" if case == "bad-arch" else "1-A"
     if case == "empty-valid":
-        train, valid = tmp_path / "full.wlad", tmp_path / "empty.wlad"
-        assert run_cli("gen-data", *GEN_FLAGS, "--out", train,
-                       "--valid-out", valid, "--valid-samples", 0) == 0
+        train, valid = tmp_path / "full.wlad", write_clipless_dataset(tmp_path / "empty.wlad")
+        assert run_cli("gen-data", *GEN_FLAGS, "--out", train) == 0
     fresh = tmp_path / "fresh"
     assert run_cli("train", "--arch", arch, "--train", train, "--valid", valid,
                    "--out", fresh, "--batch-size", 8) == 1
@@ -802,10 +801,7 @@ def test_dataset_without_clips_fails_before_reading_the_checkpoint(tmp_path, mon
         raise AssertionError("the checkpoint was read")
 
     monkeypatch.setattr(cli, "load_weights", never)
-    empty = tmp_path / "empty.wlad"
-    assert run_cli("gen-data", *GEN_FLAGS, "--out", tmp_path / "full.wlad",
-                   "--valid-out", empty, "--valid-samples", 0) == 0
-    capsys.readouterr()
+    empty = write_clipless_dataset(tmp_path / "empty.wlad")
     assert run_cli(command, "--model", tmp_path / "absent.wlam", "--data", empty) == 1
     printed = capsys.readouterr()
     assert f"--data {empty} holds no clips to score" in printed.err
@@ -1086,12 +1082,15 @@ def test_generator_overflow_fails_before_any_work(tmp_path, capsys, flag, value)
 
 
 @pytest.mark.parametrize("valid_samples,message", [
-    (-1, "--valid-samples must be >= 0 and < --n-samples 12, got -1"),
-    (12, "--valid-samples must be >= 0 and < --n-samples 12, got 12"),
-], ids=["negative", "whole-set"])
+    (-1, "--valid-samples must be >= 1 and < --n-samples 12, got -1"),
+    (0, "--valid-samples must be >= 1 and < --n-samples 12, got 0"),
+    (12, "--valid-samples must be >= 1 and < --n-samples 12, got 12"),
+], ids=["negative", "empty", "whole-set"])
 def test_valid_split_names_its_flag_and_bound(tmp_path, capsys, valid_samples, message):
-    assert run_cli("gen-data", *GEN_FLAGS, "--out", tmp_path / "a.wlad",
-                   "--valid-out", tmp_path / "b.wlad", "--valid-samples", valid_samples) == 1
+    # a split of no clips is refused too: train, evaluate and predict all refuse such a file
+    assert run_cli("gen-data", *GEN_FLAGS, "--out", tmp_path / "a.wlad", "--truth-out",
+                   tmp_path / "a.truth", "--valid-out", tmp_path / "b.wlad", "--valid-samples",
+                   valid_samples, "--valid-truth-out", tmp_path / "b.truth") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert os.listdir(tmp_path) == []
 

@@ -1,14 +1,17 @@
 """Ranking metrics against brute-force oracles and published value pairs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wlat.metrics
 from wlat.metrics import (
     AUC_CLAMP,
+    RANK_BLOCK_VALUES,
     DegenerateClassError,
     auc,
     auc_to_dprime,
@@ -17,6 +20,7 @@ from wlat.metrics import (
     evaluate,
     human_table,
     machine_lines,
+    _rank_pass,
 )
 from wlat.rng import gaussian, new_rng
 
@@ -376,3 +380,57 @@ def test_evaluate_matrix_matches_oracles_per_class(scores, truth):
         assert abs(m.auc - expected_auc) < 1e-12
         assert m.dprime_clamped == (expected_auc in (0.0, 1.0))
         assert abs(m.dprime - auc_to_dprime(expected_auc)) < 1e-9
+
+
+def blocked_matrix(n, k, excluded, seed):
+    """(n, k) scores with ties in every third class; ``excluded`` maps a class to the value
+    every one of its clips gets (0 for no positives, 1 for no negatives)."""
+    rng = new_rng(seed)
+    scores = rng.random((n, k))
+    scores[:, 1::3] = np.round(scores[:, 1::3], 1)
+    truth = (rng.random((n, k)) < 0.3).astype(float)
+    truth[0], truth[1] = 1.0, 0.0  # every other class has positives and negatives
+    for column, value in excluded.items():
+        truth[:, column] = value
+    return scores, truth
+
+
+# At 1000 clips a block holds RANK_BLOCK_VALUES // 1000 = 65 classes; the excluded
+# classes sit at the first and last class, beside block edges and inside blocks.
+BLOCK_CASES = {
+    "blocks_with_excluded_classes": blocked_matrix(
+        1000, 200, {0: 0, 64: 1, 65: 0, 66: 0, 100: 1, 131: 0, 199: 1}, 50),
+    "one_class_per_block": blocked_matrix(RANK_BLOCK_VALUES + 3, 4, {2: 0}, 51),
+    "all_excluded": blocked_matrix(300, 5, {0: 0, 1: 1, 2: 0, 3: 0, 4: 1}, 52),
+}
+
+
+@pytest.mark.parametrize("scores,truth", BLOCK_CASES.values(), ids=BLOCK_CASES)
+def test_evaluate_in_blocks_equals_one_rank_pass(scores, truth, monkeypatch):
+    blocked = evaluate(scores, truth)
+    included = [m.index for m in blocked.class_metrics]
+    assert len(included) + len(blocked.excluded) == scores.shape[1]
+    if included:
+        aps, aucs, counts = _rank_pass(scores.T[included], truth.T[included] == 1)
+        assert [m.ap for m in blocked.class_metrics] == aps.tolist()
+        assert [m.auc for m in blocked.class_metrics] == aucs.tolist()
+        assert [m.n_pos for m in blocked.class_metrics] == counts.tolist()
+    monkeypatch.setattr(wlat.metrics, "RANK_BLOCK_VALUES", scores.size)  # one block
+    one_pass = evaluate(scores, truth)
+    assert machine_lines(blocked) == machine_lines(one_pass)
+    assert blocked.excluded == one_pass.excluded
+    for name in ("mean_ap", "mean_auc", "mean_dprime"):
+        assert repr(getattr(blocked, name)) == repr(getattr(one_pass, name)), name
+
+
+def test_evaluate_memory_is_a_fraction_of_the_score_matrix():
+    # paper-shape classes: one pass over every class held several score-matrix sizes of
+    # sort orders and ranked copies; blocks hold a few cache-sized temporaries
+    scores, truth = blocked_matrix(4000, 527, {3: 0, 300: 1}, 53)
+    tracemalloc.start()
+    try:
+        evaluate(scores, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0 * scores.nbytes, peak / scores.nbytes

@@ -324,8 +324,9 @@ class TestForward:
             # a few live activations of two chunks, not a cache of the whole set
             assert max(peaks) < 8 * unit, clips.dtype
             # ReLU runs in place on the batch-norm output and each activation is
-            # freed once the next exists, so at most two per thread are live at a time
-            assert max(peaks) < 3.0 * unit, clips.dtype
+            # freed once the next exists, so at most two per thread are live at a time;
+            # 360-row chunks measured at most 2.24 units over 80 calls (400-row ones 2.39)
+            assert max(peaks) < 2.3 * unit, clips.dtype
 
     def test_infer_memory_does_not_grow_with_the_levels(self):
         # The byte unit is one level's (rows x classes) attention weights.  An
