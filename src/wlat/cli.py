@@ -325,11 +325,12 @@ def _score(args: argparse.Namespace, header, samples, depths) -> np.ndarray:
 
 def _cmd_evaluate(args: argparse.Namespace) -> Result:
     header, samples, depths = _read_data(args)
-    targets = stack_targets(samples, header.n_classes)
-    if all(exclusion_reasons(targets)):  # the rule train applies to --valid
+    # train's rule for --valid, on targets freed at once: scoring never holds them
+    if all(exclusion_reasons(stack_targets(samples, header.n_classes))):
         raise ValueError(f"--data {args.data} cannot be scored: no class has positives and"
                          " negatives")
-    report = evaluate(_score(args, header, samples, depths), targets)
+    scores = _score(args, header, samples, depths)
+    report = evaluate(scores, stack_targets(samples, header.n_classes))
     outputs = [("out", args.out, _lines(machine_lines(report)))] if args.out is not None else []
     return outputs, [human_table(report), f"mAP {report.mean_ap:.6f}"], 0
 

@@ -187,19 +187,18 @@ def _check_features(model: MultiLevelModel, features: np.ndarray) -> None:
 class ForwardPass:
     """One forward pass over a batch of clips.
 
-    A train-mode pass also retains what :func:`backward` needs: ``u``,
-    ``layer_io`` and ``level_io``.  An infer-mode pass keeps only ``z``: each
-    activation and each level's attention weights are freed once used.
+    A train-mode pass also retains what :func:`backward` needs: ``u`` and
+    ``levels``.  An infer-mode pass keeps only ``z``: each activation and
+    each level's attention weights are freed once used.
     """
 
     z: np.ndarray  # (n_clips, n_classes), final probabilities
     u: np.ndarray | None  # (n_clips, n_classes * n_levels), concatenated level outputs
-    # per block, per layer: (dense input, dense output, batch mean, batch var,
-    # layer output, dropout mask); the layer output is the batch-norm output
-    # after ReLU and dropout, both applied in place
-    layer_io: list[list[tuple[np.ndarray, ...]]]
-    # per level: (block output (n_clips, n_frames, width), weights, frame_probs, denom)
-    level_io: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    # per level: (layers, block output (n_clips, n_frames, width), weights,
+    # frame_probs, denom); layers holds, per layer, (dense input, dense output,
+    # batch mean, batch var, layer output, dropout mask), where the layer
+    # output is the batch-norm output after ReLU and dropout, both in place
+    levels: list[tuple[list[tuple[np.ndarray, ...]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def forward_cached(
@@ -230,11 +229,10 @@ def forward_cached(
     n_clips, n_frames, _ = features.shape
     x = features.reshape(n_clips * n_frames, model.input_dim).astype(np.float64, copy=False)
 
-    layer_io = []
-    level_io = []
+    levels = []
     level_y = []
     for block, head in zip(model.blocks, model.heads):
-        block_io = []
+        layers = []
         for dense, bn in block:
             # Only x carries an activation from one step to the next, so in
             # infer mode each layer's input and dense output are freed as
@@ -249,20 +247,18 @@ def forward_cached(
                 mask = dropout_mask(rng, x.shape, dropout)
                 x *= mask
             if retain:
-                block_io.append((dense_in, dense_out, mean, var, x, mask))
-        if retain:
-            layer_io.append(block_io)
+                layers.append((dense_in, dense_out, mean, var, x, mask))
 
         h = x.reshape(n_clips, n_frames, -1)
         y, weights, frame_probs, denom = forward_batch(h, head)
         if retain:
-            level_io.append((h, weights, frame_probs, denom))
+            levels.append((layers, h, weights, frame_probs, denom))
         level_y.append(y)
         del h, weights, frame_probs, denom  # in infer mode, nothing else holds them
 
     u = np.concatenate(level_y, axis=1)
     z = nn.sigmoid(nn.dense_forward(u, model.out))
-    return ForwardPass(z, u if retain else None, layer_io, level_io)
+    return ForwardPass(z, u if retain else None, levels)
 
 
 def backward(
@@ -278,7 +274,6 @@ def backward(
     if grad_z.shape != fwd.z.shape:
         raise ValueError(f"grad_z shape {grad_z.shape} != {fwd.z.shape}")
 
-    k = model.spec.n_classes
     grad_pre = grad_z * fwd.z * (1.0 - fwd.z)
     grad_u, *out_grads = nn.dense_backward(fwd.u, model.out, grad_pre)
 
@@ -289,18 +284,19 @@ def backward(
     block_grads: list[np.ndarray] = []
     head_grads: list[np.ndarray] = []
     grad_from_above: np.ndarray | None = None
-    for l in range(model.spec.n_levels - 1, -1, -1):
-        h, weights, frame_probs, denom = fwd.level_io[l]
-        grad_y = grad_u[:, l * k : (l + 1) * k]
-        grad_h, *head = backward_batch(h, model.heads[l], weights, frame_probs, denom, grad_y)
-        head_grads[:0] = head
+    for block, head, (layers, h, weights, frame_probs, denom), grad_y in zip(
+        reversed(model.blocks), reversed(model.heads), reversed(fwd.levels),
+        reversed(np.hsplit(grad_u, model.spec.n_levels)),
+    ):
+        grad_h, *head_grad = backward_batch(h, head, weights, frame_probs, denom, grad_y)
+        head_grads[:0] = head_grad
         grad_x = grad_h.reshape(-1, grad_h.shape[2])
         if grad_from_above is not None:
             grad_x += grad_from_above
 
         # grad_x is always a fresh array here, so the kernels may overwrite it
         for (dense, bn), (dense_in, dense_out, mean, var, out, mask) in zip(
-            reversed(model.blocks[l]), reversed(fwd.layer_io[l])
+            reversed(block), reversed(layers)
         ):
             if mask is not None:
                 grad_x *= mask

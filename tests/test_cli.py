@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -831,6 +832,32 @@ def test_evaluate_refuses_a_set_no_class_can_be_scored_before_reading_the_checkp
                            " and negatives\n")
     assert printed.out == ""
     assert not report.exists()
+
+
+def test_evaluate_holds_no_targets_while_it_scores(tmp_path, monkeypatch):
+    """The (clips x classes) float64 targets of the scorability check are freed before
+    scoring starts, so the traced memory when the clips are scored is well under them."""
+    cfg = SynthConfig(n_classes=500, n_samples=2000, n_frames=3, n_features=2, seed=3)
+    samples, _ = generate_synthetic(cfg)
+    data_path, model_path = tmp_path / "data.wlad", tmp_path / "model.wlam"
+    with open(data_path, "wb") as handle:
+        write_dataset(samples, cfg.header(), handle)
+    model = build_model(parse_arch("1-A", hidden_units=1, n_classes=cfg.n_classes), 2, init_seed=0)
+    with open(model_path, "wb") as handle:
+        save_weights(model, handle)
+    at_entry = []
+
+    def traced(*args):
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        return predict_scores(*args)
+
+    monkeypatch.setattr(cli, "predict_scores", traced)
+    tracemalloc.start()
+    try:
+        assert run_cli("evaluate", "--model", model_path, "--data", data_path) == 0
+    finally:
+        tracemalloc.stop()
+    assert at_entry[0] < 0.6 * cfg.n_samples * cfg.n_classes * 8  # the targets' bytes
 
 
 @pytest.mark.parametrize("command,flag,link", [

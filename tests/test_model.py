@@ -205,7 +205,7 @@ class TestForward:
         model = toy_model("3-A")
         features = gaussian(new_rng(1), (4, 6, 4))
         fwd = forward_cached(model, features, TRAIN)
-        _, weights, frame_probs, _ = fwd.level_io[0]
+        _, _, weights, frame_probs, _ = fwd.levels[0]
         assert np.array_equal(fwd.u, (weights * frame_probs).sum(axis=1))
 
     def test_output_shapes_and_range(self):
@@ -214,8 +214,8 @@ class TestForward:
         fwd = forward_cached(model, features, TRAIN)
         assert fwd.z.shape == (5, 3)
         assert fwd.u.shape == (5, 6)
-        assert len(fwd.level_io) == 2
-        assert all(weights.shape == (5, 6, 3) for _, weights, _, _ in fwd.level_io)
+        assert len(fwd.levels) == 2
+        assert all(weights.shape == (5, 6, 3) for _, _, weights, _, _ in fwd.levels)
         assert ((fwd.z > 0.0) & (fwd.z < 1.0)).all()
 
     def test_infer_is_deterministic(self):
@@ -441,7 +441,7 @@ class TestBackward:
     def test_infer_cache_retains_nothing_and_is_rejected(self):
         model = toy_model()
         fwd = forward_cached(model, gaussian(new_rng(9), (4, 6, 4)), INFER)
-        assert fwd.u is None and fwd.layer_io == [] and fwd.level_io == []
+        assert fwd.u is None and fwd.levels == []
         with pytest.raises(ValueError, match="train-mode forward"):
             backward(model, fwd, np.zeros((4, 3)))
 

@@ -229,9 +229,10 @@ def dropout_model(hidden=4):
 def first_layer_dropout(model, features, rng, rate):
     """(relu output, mask, block output) of the model's first hidden layer, in train mode."""
     fwd = forward_cached(model, features, nn.TRAIN, rng, rate)
-    _, dense_out, _, _, _, mask = fwd.layer_io[0][0]
+    layers, h, *_ = fwd.levels[0]
+    _, dense_out, _, _, _, mask = layers[0]
     bn_out, _, _ = nn.batchnorm_forward(dense_out, model.blocks[0][0][1], nn.TRAIN)
-    block_out = fwd.level_io[0][0].reshape(bn_out.shape)
+    block_out = h.reshape(bn_out.shape)
     return nn.relu(bn_out), mask, block_out
 
 
