@@ -187,18 +187,19 @@ def _check_features(model: MultiLevelModel, features: np.ndarray) -> None:
 class ForwardPass:
     """One forward pass over a batch of clips.
 
-    A train-mode pass also retains what :func:`backward` needs: ``u`` and
-    ``levels``.  An infer-mode pass keeps only ``z``: each activation and
-    each level's attention weights are freed once used.
+    A train-mode pass also retains what :func:`backward` needs: ``u``,
+    ``levels`` and ``dropout``, but no dropout mask.  An infer-mode pass keeps
+    only ``z``: each activation and each level's attention weights are freed once used.
     """
 
     z: np.ndarray  # (n_clips, n_classes), final probabilities
     u: np.ndarray | None  # (n_clips, n_classes * n_levels), concatenated level outputs
     # per level: (layers, block output (n_clips, n_frames, width), weights,
     # frame_probs, denom); layers holds, per layer, (dense input, dense output,
-    # batch mean, batch var, layer output, dropout mask), where the layer
-    # output is the batch-norm output after ReLU and dropout, both in place
+    # batch mean, batch var, layer output), where the layer output is the
+    # batch-norm output after ReLU and dropout, both in place
     levels: list[tuple[list[tuple[np.ndarray, ...]], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    dropout: float  # the rate applied: the caller's in a train-mode pass with dropout, else 0.0
 
 
 def forward_cached(
@@ -242,12 +243,10 @@ def forward_cached(
             dense_out = x if retain else None
             x, mean, var = nn.batchnorm_forward(x, bn, mode)
             nn.relu(x)
-            mask = None
             if use_dropout:
-                mask = dropout_mask(rng, x.shape, dropout)
-                x *= mask
+                x *= dropout_mask(rng, x.shape, dropout)
             if retain:
-                layers.append((dense_in, dense_out, mean, var, x, mask))
+                layers.append((dense_in, dense_out, mean, var, x))
 
         h = x.reshape(n_clips, n_frames, -1)
         y, weights, frame_probs, denom = forward_batch(h, head)
@@ -258,7 +257,7 @@ def forward_cached(
 
     u = np.concatenate(level_y, axis=1)
     z = nn.sigmoid(nn.dense_forward(u, model.out))
-    return ForwardPass(z, u if retain else None, levels)
+    return ForwardPass(z, u if retain else None, levels, dropout if use_dropout else 0.0)
 
 
 def backward(
@@ -266,8 +265,8 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Gradients of every trainable parameter, keyed like ``trainable_params``.
 
-    Requires a matching train-mode forward pass (dropout masks are reused,
-    batch-norm gradients assume batch statistics).
+    Requires a matching train-mode forward pass (its activations and dropout
+    rate are reused, batch-norm gradients assume batch statistics).
     """
     if fwd.u is None:
         raise ValueError("backward requires a train-mode forward pass")
@@ -295,13 +294,13 @@ def backward(
             grad_x += grad_from_above
 
         # grad_x is always a fresh array here, so the kernels may overwrite it
-        for (dense, bn), (dense_in, dense_out, mean, var, out, mask) in zip(
+        for (dense, bn), (dense_in, dense_out, mean, var, out) in zip(
             reversed(block), reversed(layers)
         ):
-            if mask is not None:
-                grad_x *= mask
-            # out > 0 only where the batch-norm output was > 0; where dropout
-            # zeroed a unit, grad_x is already zero
+            # a unit dropout zeroed has out == 0, so its ReLU step zeroes its
+            # gradient; a kept one gets the float64 scale dropout_mask gave it
+            if fwd.dropout:
+                grad_x *= 1.0 / (1.0 - fwd.dropout)
             grad_x = nn.relu_backward(out, grad_x)
             grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(dense_out, mean, var, bn, grad_x)
             grad_x, grad_w, grad_b = nn.dense_backward(dense_in, dense, grad_x)
@@ -321,6 +320,8 @@ def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
     the other thread finishes the one it holds and takes no more; the first
     error is raised.  Each chunk is one single-thread forward, under its
     thread's own numpy error state, so the threads change no bit of any score.
+    The helper pays only with BLAS on one thread, as the ``wlat`` command runs
+    it; a library caller sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads.
     """
     _check_features(model, features)
     step = max(1, INFER_CHUNK_ROWS // features.shape[1])
@@ -359,20 +360,20 @@ def model_grad_check(
 ) -> float:
     """Finite-difference check of the full backward pass; see nn.grad_check.
 
-    Runs in train mode without dropout, so every forward is deterministic;
-    the running statistics those forwards update are restored afterwards.
+    Runs in train mode without dropout, so every forward is deterministic; the
+    running statistics they update are restored, also when ``loss_on_z`` raises.
     """
 
     def loss_fn() -> float:
         return loss_on_z(forward_cached(model, features, TRAIN).z)[0]
 
     saved = model.copy_state()
-    fwd = forward_cached(model, features, TRAIN)
-    _, grad_z = loss_on_z(fwd.z)
-    analytic = backward(model, fwd, grad_z)
-    error = nn.grad_check(loss_fn, model.trainable_params(), analytic)
-    model.load_state(saved)
-    return error
+    try:
+        fwd = forward_cached(model, features, TRAIN)
+        _, grad_z = loss_on_z(fwd.z)
+        return nn.grad_check(loss_fn, model.trainable_params(), backward(model, fwd, grad_z))
+    finally:
+        model.load_state(saved)
 
 
 def _check_state(model: MultiLevelModel) -> MultiLevelModel:

@@ -218,8 +218,8 @@ def grad_check(
     """Compare analytic gradients against central finite differences of GRAD_CHECK_STEP.
 
     ``loss_fn`` must be a deterministic pure function of the entries of
-    ``params``, which are perturbed in place and restored.  Returns the max
-    relative error over every scalar parameter.
+    ``params``, which are perturbed in place and restored, also when it raises.
+    Returns the max relative error over every scalar parameter.
     """
     worst = 0.0
     for name, p in params.items():
@@ -228,11 +228,13 @@ def grad_check(
         numeric = np.empty_like(analytic)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + GRAD_CHECK_STEP
-            loss_plus = loss_fn()
-            flat[i] = orig - GRAD_CHECK_STEP
-            loss_minus = loss_fn()
-            flat[i] = orig
+            try:
+                flat[i] = orig + GRAD_CHECK_STEP
+                loss_plus = loss_fn()
+                flat[i] = orig - GRAD_CHECK_STEP
+                loss_minus = loss_fn()
+            finally:
+                flat[i] = orig
             numeric[i] = (loss_plus - loss_minus) / (2.0 * GRAD_CHECK_STEP)
         worst = max(worst, relative_error(analytic, numeric))
     return worst

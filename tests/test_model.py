@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wlat.model
+from wlat import nn
 from wlat.model import (
     INFER_CHUNK_ROWS,
     PRESET_ARCHS,
@@ -26,12 +27,14 @@ from wlat.model import (
     build_model,
     forward_cached,
     load_weights,
+    model_grad_check,
     parse_arch,
     predict_scores,
     save_weights,
 )
 from wlat.nn import INFER, TRAIN
 from wlat.rng import gaussian, new_rng
+from wlat.train import bce_loss
 
 from oracles import checkpoint_with
 
@@ -347,6 +350,27 @@ class TestForward:
         assert peaks["1-A-1-A-1-A"] < 4.0, peaks
         assert peaks["1-A-1-A-1-A"] - peaks["3-A"] < 0.5, peaks
 
+    def test_train_memory_keeps_no_dropout_mask(self):
+        # The byte unit is one hidden layer's (rows x width) output.  A
+        # train-mode pass keeps each layer's dense output and its output after
+        # ReLU and dropout; the next layer's input is that output, and the
+        # dropout rate is one number, so each layer retains two units.  Every
+        # architecture here has three hidden layers.
+        hidden, n_clips, n_frames = 256, 40, 10
+        unit = n_clips * n_frames * hidden * 8
+        features = gaussian(new_rng(18), (n_clips, n_frames, 16))
+        retained = {}
+        for arch in ("2-A-1-A", "3-A", "1-A-1-A-1-A"):
+            model = build_model(parse_arch(arch, hidden_units=hidden, n_classes=2), 16, 0)
+            tracemalloc.start()
+            try:
+                fwd = forward_cached(model, features, TRAIN, new_rng(19), 0.4)
+                retained[arch] = tracemalloc.get_traced_memory()[0] / (unit * 3)
+                del fwd  # freed before the next model is built
+            finally:
+                tracemalloc.stop()
+        assert max(retained.values()) < 2.5, retained
+
     def test_predict_scores_refuses_a_score_that_is_not_finite(self):
         model = toy_model()
         model.arrays["block0.layer0.weight"][...] = 1.7e308  # finite, so a valid checkpoint
@@ -484,6 +508,46 @@ class TestBackward:
         error, restored = checks[arch]
         assert error < 1e-4, f"{arch}: {error:.3e}"
         assert restored
+
+    @pytest.mark.parametrize(("arch", "rate"), [*((a, 0.4) for a in PRESET_ARCHS),
+                                                 ("2-A-1-A", 0.9), ("3-A", 0.9)])
+    def test_finite_differences_with_dropout(self, arch, rate):
+        # every forward draws its masks from a fresh new_rng(7), so all of
+        # them drop the same units and the loss is a function of the weights;
+        # deep presets at rate 0.9 cross ReLU kinks at this width, so are left out
+        model = toy_model(arch)
+        rng = new_rng(1)
+        features = gaussian(rng, (3, 2, 4))
+        targets = (rng.random((3, 3)) < 0.5).astype(np.float64)
+
+        def forward():
+            return forward_cached(model, features, TRAIN, new_rng(7), rate)
+
+        fwd = forward()
+        analytic = backward(model, fwd, bce_loss(fwd.z, targets)[1])
+        error = nn.grad_check(lambda: bce_loss(forward().z, targets)[0],
+                              model.trainable_params(), analytic)
+        assert error < 1e-4, f"{arch} at {rate}: {error:.3e}"
+
+    @pytest.mark.parametrize("fails_on_call", [1, 5])
+    def test_grad_check_restores_the_model_when_the_loss_raises(self, fails_on_call):
+        # the first call scores the analytic pass; the fifth perturbs
+        # block0.layer0.weight in the finite-difference loop
+        model = toy_model()
+        features = gaussian(new_rng(1), (3, 2, 4))
+        before = model.copy_state()
+        calls = []
+
+        def loss_on_z(z):
+            calls.append(None)
+            if len(calls) == fails_on_call:
+                raise ValueError("loss failed")
+            return bce_loss(z, np.zeros_like(z))
+
+        with pytest.raises(ValueError, match="^loss failed$"):
+            model_grad_check(model, features, loss_on_z)
+        for name, arr in before.items():
+            assert model.arrays[name].tobytes() == arr.tobytes(), name
 
 
 class TestWeightFiles:

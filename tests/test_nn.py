@@ -1,5 +1,7 @@
 """Layer primitive tests: forward oracles and finite-difference backward checks."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,13 +229,17 @@ def dropout_model(hidden=4):
 
 
 def first_layer_dropout(model, features, rng, rate):
-    """(relu output, mask, block output) of the model's first hidden layer, in train mode."""
+    """(relu output, mask, block output, recorded rate) of the model's first hidden layer,
+    in train mode.  The pass keeps no mask, so the first layer's is drawn again from a
+    copy of ``rng`` taken before the forward (the same draws); None if no rate was applied."""
+    twin = copy.deepcopy(rng)
     fwd = forward_cached(model, features, nn.TRAIN, rng, rate)
     layers, h, *_ = fwd.levels[0]
-    _, dense_out, _, _, _, mask = layers[0]
+    _, dense_out, _, _, _ = layers[0]
+    mask = nn.dropout_mask(twin, dense_out.shape, rate) if fwd.dropout else None
     bn_out, _, _ = nn.batchnorm_forward(dense_out, model.blocks[0][0][1], nn.TRAIN)
     block_out = h.reshape(bn_out.shape)
-    return nn.relu(bn_out), mask, block_out
+    return nn.relu(bn_out), mask, block_out, fwd.dropout
 
 
 def test_dropout_rate_zero_is_identity():
@@ -241,8 +247,9 @@ def test_dropout_rate_zero_is_identity():
     x = gaussian(rng, (4, 3, 4))
     masks = new_rng(0)
     untouched = masks.bit_generator.state
-    relu_out, mask, out = first_layer_dropout(dropout_model(), x, masks, 0.0)
+    relu_out, mask, out, recorded = first_layer_dropout(dropout_model(), x, masks, 0.0)
     assert mask is None
+    assert recorded == 0.0
     assert np.array_equal(out, relu_out)
     assert masks.bit_generator.state == untouched
 
@@ -277,7 +284,8 @@ def test_forward_refuses_a_dropout_rate_outside_the_unit_interval(rate):
 def test_dropout_preserves_expectation():
     x = gaussian(new_rng(5), (10, 10, 4))
     model = dropout_model(hidden=1000)
-    relu_out, mask, out = first_layer_dropout(model, x, new_rng(8), 0.4)
+    relu_out, mask, out, recorded = first_layer_dropout(model, x, new_rng(8), 0.4)
+    assert recorded == 0.4
     assert mask.shape == (100, 1000)
     assert 0.97 <= mask.mean() <= 1.03
     assert np.allclose(mask[mask != 0], 1.0 / 0.6)
@@ -332,6 +340,22 @@ def test_grad_check_single_dense_with_bce():
     _, grad_w, grad_b = nn.dense_backward(x, layer, grad_pre)
     analytic = {"w": grad_w, "b": grad_b}
     assert nn.grad_check(loss, {"w": layer.weight, "b": layer.bias}, analytic) < 1e-6
+
+
+def test_grad_check_restores_the_element_it_perturbed_when_the_loss_raises():
+    params = {"w": gaussian(new_rng(13), (2, 3))}
+    before = params["w"].copy()
+    calls = []
+
+    def loss():  # the fifth call perturbs the third element upward
+        calls.append(None)
+        if len(calls) == 5:
+            raise RuntimeError("loss failed")
+        return float(params["w"].sum())
+
+    with pytest.raises(RuntimeError, match="^loss failed$"):
+        nn.grad_check(loss, params, {"w": np.ones((2, 3))})
+    assert params["w"].tobytes() == before.tobytes()
 
 
 def test_relative_error_floor():
