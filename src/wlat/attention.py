@@ -83,19 +83,28 @@ def backward_batch(
     """
     if grad_y.shape != (h.shape[0], head.n_classes):
         raise ValueError(f"grad shape {grad_y.shape} != {(h.shape[0], head.n_classes)}")
+    # Each step runs in place on one of three (rows x classes) arrays made
+    # here, in the order of the one-temporary-per-step expression beside it.
     gy = grad_y[:, None, :]
-    grad_probs = weights * gy
-    grad_cls_logits = grad_probs * frame_probs * (1.0 - frame_probs)
+    grad_cls_logits = weights * gy  # weights * gy * frame_probs * (1.0 - frame_probs)
+    grad_cls_logits *= frame_probs
+    one_minus = 1.0 - frame_probs
+    grad_cls_logits *= one_minus
 
     # w = v / denom with denom = sum_t v:
     # d y / d v[t] = (grad_w[t] - sum_t' grad_w[t'] * w[t']) / denom
-    grad_w = frame_probs * gy
-    grad_v = (grad_w - (grad_w * weights).sum(axis=1, keepdims=True)) / denom
-    grad_att_logits = softmax_rows_backward(weights * denom, grad_v)
+    grad_v = np.multiply(frame_probs, gy, out=one_minus)  # grad_w, made grad_v in place
+    product = grad_v * weights
+    grad_v -= product.sum(axis=1, keepdims=True)
+    grad_v /= denom
+    # the softmax output v = weights * denom, made in the product's place
+    grad_att_logits = softmax_rows_backward(np.multiply(weights, denom, out=product), grad_v)
+    del one_minus, grad_v, product  # grad_att_logits is grad_v, overwritten
 
     rows = h.reshape(-1, h.shape[2])
     k = head.n_classes
     att_x, att_w, att_b = dense_backward(rows, head.att_dense, grad_att_logits.reshape(-1, k))
+    del grad_att_logits
     cls_x, cls_w, cls_b = dense_backward(rows, head.cls_dense, grad_cls_logits.reshape(-1, k))
     att_x += cls_x
     grad_h = att_x.reshape(h.shape)

@@ -188,8 +188,10 @@ class ForwardPass:
     """One forward pass over a batch of clips.
 
     A train-mode pass also retains what :func:`backward` needs: ``u``,
-    ``levels`` and ``dropout``, but no dropout mask.  An infer-mode pass keeps
-    only ``z``: each activation and each level's attention weights are freed once used.
+    ``levels`` and ``dropout``, but no dropout mask.  :func:`backward` consumes
+    it, popping each level as its walk reaches it, so a walked pass keeps only
+    ``z`` and ``u``.  An infer-mode pass keeps only ``z``: each activation and
+    each level's attention weights are freed once used.
     """
 
     z: np.ndarray  # (n_clips, n_classes), final probabilities
@@ -266,12 +268,17 @@ def backward(
     """Gradients of every trainable parameter, keyed like ``trainable_params``.
 
     Requires a matching train-mode forward pass (its activations and dropout
-    rate are reused, batch-norm gradients assume batch statistics).
+    rate are reused, batch-norm gradients assume batch statistics) and
+    consumes it, so afterwards ``fwd`` holds only ``z`` and ``u``.  A pass
+    missing a level, walked or left partial by a backward that raised, raises ValueError.
     """
     if fwd.u is None:
         raise ValueError("backward requires a train-mode forward pass")
     if grad_z.shape != fwd.z.shape:
         raise ValueError(f"grad_z shape {grad_z.shape} != {fwd.z.shape}")
+    if len(fwd.levels) != model.spec.n_levels:
+        raise ValueError(f"forward pass holds {len(fwd.levels)} of {model.spec.n_levels} levels: "
+                         "a backward has consumed its cache")
 
     grad_pre = grad_z * fwd.z * (1.0 - fwd.z)
     grad_u, *out_grads = nn.dense_backward(fwd.u, model.out, grad_pre)
@@ -279,33 +286,38 @@ def backward(
     # Levels feed only the concatenation, so walk blocks from deepest to
     # shallowest, merging each head's gradient with the one flowing down
     # from the block above.  Prepending each gradient as it is computed
-    # leaves the block and head lists in ``trainable_params`` order.
+    # leaves the block and head lists in ``trainable_params`` order.  Levels and
+    # layer records are popped as the walk reaches them and each name is dropped
+    # once used, so nothing holds an activation the walk is done with.
     block_grads: list[np.ndarray] = []
     head_grads: list[np.ndarray] = []
-    grad_from_above: np.ndarray | None = None
-    for block, head, (layers, h, weights, frame_probs, denom), grad_y in zip(
-        reversed(model.blocks), reversed(model.heads), reversed(fwd.levels),
+    grad_x: np.ndarray | None = None  # the gradient flowing down from the block above
+    for block, head, grad_y in zip(
+        reversed(model.blocks), reversed(model.heads),
         reversed(np.hsplit(grad_u, model.spec.n_levels)),
     ):
+        layers, h, weights, frame_probs, denom = fwd.levels.pop()
         grad_h, *head_grad = backward_batch(h, head, weights, frame_probs, denom, grad_y)
+        del h, weights, frame_probs, denom
         head_grads[:0] = head_grad
+        if grad_x is not None:
+            grad_h += grad_x.reshape(grad_h.shape)
         grad_x = grad_h.reshape(-1, grad_h.shape[2])
-        if grad_from_above is not None:
-            grad_x += grad_from_above
+        del grad_h
 
         # grad_x is always a fresh array here, so the kernels may overwrite it
-        for (dense, bn), (dense_in, dense_out, mean, var, out) in zip(
-            reversed(block), reversed(layers)
-        ):
+        for dense, bn in reversed(block):
+            dense_in, dense_out, mean, var, out = layers.pop()
             # a unit dropout zeroed has out == 0, so its ReLU step zeroes its
             # gradient; a kept one gets the float64 scale dropout_mask gave it
             if fwd.dropout:
                 grad_x *= 1.0 / (1.0 - fwd.dropout)
             grad_x = nn.relu_backward(out, grad_x)
+            del out
             grad_x, grad_gamma, grad_beta = nn.batchnorm_backward(dense_out, mean, var, bn, grad_x)
+            del dense_out
             grad_x, grad_w, grad_b = nn.dense_backward(dense_in, dense, grad_x)
             block_grads[:0] = (grad_w, grad_b, grad_gamma, grad_beta)
-        grad_from_above = grad_x
     grads = [*block_grads, *head_grads, *out_grads]
     return dict(zip(model.trainable_params(), grads, strict=True))
 

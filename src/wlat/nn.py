@@ -12,9 +12,11 @@ they are given and return it (every caller passes an output it just
 allocated: a batch-norm or dense output), and a train-mode
 :func:`batchnorm_forward`, which updates its state's running statistics in
 place, so no array a model holds is ever replaced.  A backward kernel may
-overwrite its ``grad_out`` argument and may return it as its input gradient,
-so a caller passes a gradient it owns and does not read it afterwards.  No
-backward kernel writes to ``x``, to a layer's state or to a cached activation.
+overwrite its ``grad_out`` argument and may return it as its input gradient
+(:func:`relu_backward`, :func:`batchnorm_backward` and
+:func:`softmax_rows_backward` do), so a caller passes a gradient it owns and
+does not read it afterwards.  No backward kernel writes to ``x``, to a
+layer's state or to a cached activation.
 """
 
 from __future__ import annotations
@@ -107,9 +109,11 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows_backward(softmax_out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Backward through a row-wise softmax, given its forward output."""
+    """Backward through a row-wise softmax given its output; returns ``grad_out``, overwritten."""
     inner = (grad_out * softmax_out).sum(axis=-1, keepdims=True)
-    return softmax_out * (grad_out - inner)
+    grad_out -= inner
+    grad_out *= softmax_out
+    return grad_out
 
 
 @dataclass

@@ -258,6 +258,18 @@ def test_relu_backward_matches_oracle_up_to_zero_sign(kind):
     assert snapshot(x) == before
 
 
+@pytest.mark.parametrize("kind", INPUTS)
+def test_softmax_rows_backward_matches_oracle(kind):
+    softmax_out = INPUTS[kind](9)
+    grad_out = gradient_like(kind, softmax_out.shape, 8)
+    expected = oracle_softmax_rows_backward(softmax_out, grad_out.copy())
+    before = snapshot(softmax_out)
+    actual = nn.softmax_rows_backward(softmax_out, grad_out)
+    assert_bitwise(actual, expected)
+    assert actual is grad_out
+    assert snapshot(softmax_out) == before
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.25, 0.4, 0.9])
 def test_dropout_mask_matches_oracle_with_the_same_draws(rate):
     rng, oracle_rng = new_rng(8), new_rng(8)

@@ -485,6 +485,56 @@ class TestBackward:
             backward(model, fwd, np.zeros((4, 2)))
         assert str(err.value) == "grad_z shape (4, 2) != (4, 3)"
 
+    def test_a_walked_pass_is_refused_as_consumed(self):
+        model = toy_model()
+        fwd = forward_cached(model, gaussian(new_rng(9), (4, 6, 4)), TRAIN)
+        backward(model, fwd, np.ones((4, 3)))
+        # the walk popped every level; the pass keeps its output and level outputs
+        assert fwd.levels == [] and fwd.z.shape == (4, 3) and fwd.u.shape == (4, 6)
+        with pytest.raises(ValueError) as err:
+            backward(model, fwd, np.ones((4, 3)))
+        assert str(err.value) == "forward pass holds 0 of 2 levels: a backward has consumed its cache"
+
+    def test_a_pass_left_partial_by_a_failed_backward_is_refused(self, monkeypatch):
+        model = toy_model("1-A-1-A-1-A")
+        fwd = forward_cached(model, gaussian(new_rng(9), (4, 6, 4)), TRAIN)
+        real, calls = wlat.model.backward_batch, itertools.count(1)
+
+        def second_level_fails(*args):
+            if next(calls) == 2:
+                raise MemoryError
+            return real(*args)
+
+        monkeypatch.setattr(wlat.model, "backward_batch", second_level_fails)
+        with pytest.raises(MemoryError):
+            backward(model, fwd, np.ones((4, 3)))
+        monkeypatch.undo()
+        with pytest.raises(ValueError) as err:
+            backward(model, fwd, np.ones((4, 3)))
+        assert str(err.value) == "forward pass holds 1 of 3 levels: a backward has consumed its cache"
+
+    def test_train_step_memory_frees_what_backward_has_used(self):
+        # The byte unit is one level's (rows x classes) attention weights, at
+        # eight classes per hidden unit, so the heads' maps and their backward
+        # temporaries dominate.  A train forward retains 5.26 units here.
+        # backward pops each level once used, and the head backward keeps
+        # four of these arrays alive at once: the step peaks at 10.32 units,
+        # against 12.83 when backward held every level to its end and the
+        # head backward made one temporary per step.
+        hidden, n_classes, n_clips, n_frames = 16, 128, 40, 10
+        unit = n_clips * n_frames * n_classes * 8
+        model = build_model(parse_arch("2-A-1-A", hidden, n_classes), 16, 0)
+        features = gaussian(new_rng(22), (n_clips, n_frames, 16))
+        targets = (new_rng(23).random((n_clips, n_classes)) < 0.3).astype(np.float64)
+        tracemalloc.start()
+        try:
+            fwd = forward_cached(model, features, TRAIN, new_rng(24), 0.4)
+            backward(model, fwd, bce_loss(fwd.z, targets)[1])
+            peak = tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.5, peak
+
     def test_zero_grad_gives_zero_everywhere(self):
         model = toy_model()
         features = gaussian(new_rng(9), (4, 6, 4))
