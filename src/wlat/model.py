@@ -11,13 +11,16 @@ weight file stores, so a loaded checkpoint is the whole model.
 
 Weight file format (all little-endian): magic ``WLAM``, version u32,
 n_blocks u32, block depths (u32 each), hidden_units u32, n_classes u32,
-input_dim u32, then every state array as raw finite float64, in the order in
-which :func:`_assemble` makes and names them.  The header alone determines
-the architecture and every array shape.
+input_dim u32, then the model's ``state`` verbatim: one buffer of finite
+``<f8`` values that holds every array in the order in which :func:`_assemble`
+carves and names them.  The header alone determines the architecture and
+every array shape.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -114,6 +117,7 @@ class MultiLevelModel:
     heads: list[AttentionHead]
     out: DenseLayer  # (n_classes * n_levels) -> n_classes
     arrays: dict[str, np.ndarray]  # each array above by checkpoint name, in file order
+    state: np.ndarray  # (_state_size,) <f8: every array above is a view of it, in file order
 
     def trainable_params(self) -> dict[str, np.ndarray]:
         """The state minus batch-norm running statistics, in the same order."""
@@ -134,30 +138,45 @@ class MultiLevelModel:
 
 
 def _assemble(spec: ArchSpec, input_dim: int) -> MultiLevelModel:
-    """The model's structure, zero dense arrays and fresh batch-norm states, each array
-    named as it is made: blocks, then heads (att, then cls), then ``out``."""
+    """The model's structure over one zeroed ``state`` buffer, batch-norm ``gamma`` and
+    ``running_var`` set to 1.  Each array is the next view of ``state``, named as it is
+    carved: blocks, then heads (att, then cls), then ``out``."""
     if input_dim < 1:
         raise ValueError(f"input_dim must be >= 1, got {input_dim}")
     h, k = spec.hidden_units, spec.n_classes
+    state = np.zeros(_state_size(spec, input_dim), dtype="<f8")
     arrays: dict[str, np.ndarray] = {}
+    used = 0  # floats of ``state`` carved so far
 
-    def named(prefix: str, part):
-        """``part``, each of its array fields recorded as ``<prefix>.<field>``."""
-        arrays.update((f"{prefix}.{f.name}", getattr(part, f.name)) for f in fields(part))
-        return part
+    def carve(part, prefix: str, *shapes: tuple[int, ...]):
+        """A ``part`` whose array fields, given ``shapes``, are the next views of
+        ``state``, each recorded as ``<prefix>.<field>``."""
+        nonlocal used
+        views = []
+        for f, shape in zip(fields(part), shapes, strict=True):
+            views.append(state[used : used + math.prod(shape)].reshape(shape))
+            arrays[f"{prefix}.{f.name}"] = views[-1]
+            used += views[-1].size
+        return part(*views)
 
     def dense(prefix: str, n_in: int, n_out: int) -> DenseLayer:
-        return named(prefix, DenseLayer(np.zeros((n_in, n_out)), np.zeros(n_out)))
+        return carve(DenseLayer, prefix, (n_in, n_out), (n_out,))
+
+    def batchnorm(prefix: str) -> BatchNormState:
+        bn = carve(BatchNormState, prefix, (h,), (h,), (h,), (h,))
+        bn.gamma[...] = bn.running_var[...] = 1.0
+        return bn
 
     blocks = [
         [(dense(f"block{b}.layer{j}", input_dim if (b, j) == (0, 0) else h, h),
-          named(f"block{b}.layer{j}", BatchNormState.init(h)))
+          batchnorm(f"block{b}.layer{j}"))
          for j in range(depth)]
         for b, depth in enumerate(spec.block_depths)
     ]
     heads = [AttentionHead(dense(f"head{l}.att", h, k), dense(f"head{l}.cls", h, k))
              for l in range(spec.n_levels)]
-    return MultiLevelModel(spec, input_dim, blocks, heads, dense("out", k * spec.n_levels, k), arrays)
+    out = dense("out", k * spec.n_levels, k)
+    return MultiLevelModel(spec, input_dim, blocks, heads, out, arrays, state)
 
 
 def build_model(spec: ArchSpec, input_dim: int, init_seed: int) -> MultiLevelModel:
@@ -399,18 +418,19 @@ def _check_state(model: MultiLevelModel) -> MultiLevelModel:
 
 
 def save_weights(model: MultiLevelModel, sink: BinaryIO) -> int:
-    """Serialize spec echo + state arrays, checked before any is written; returns bytes written."""
+    """Write the header, then ``model.state`` in one call; returns bytes written.
+
+    The arrays are checked as :func:`load_weights` checks them before any byte is written.
+    """
     spec = _check_state(model).spec
     header = (WEIGHTS_VERSION, spec.n_levels, *spec.block_depths, spec.hidden_units,
               spec.n_classes, model.input_dim)
     written = sink.write(WEIGHTS_MAGIC + struct.pack(f"<{len(header)}I", *header))
-    for arr in model.arrays.values():
-        written += sink.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return written
+    return written + sink.write(memoryview(model.state).cast("B"))  # one write, no copy
 
 
 def _state_size(spec: ArchSpec, input_dim: int) -> int:
-    """Float count of :attr:`MultiLevelModel.arrays` for this shape."""
+    """Float count of :attr:`MultiLevelModel.state`, every array together, for this shape."""
     h, k, depth = spec.hidden_units, spec.n_classes, sum(spec.block_depths)
     # dense weights, then bias, gamma, beta and running mean/var per layer
     layers = h * (input_dim + (depth - 1) * h) + 5 * h * depth
@@ -421,20 +441,27 @@ def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelMo
     """Rebuild a model from :func:`save_weights` bytes; the header is the architecture.
 
     A given ``spec`` is a cross-check: a file holding another architecture
-    raises.  The byte count the header implies is checked before any model
-    array is allocated, and the arrays are filled straight from the bytes
-    (no initializer runs).  A NaN or infinite value, or a negative running
+    raises.  Only the header is read as bytes.  The stream's length (by
+    ``tell`` and ``seek``, so a pipe raises its own OSError) is checked against
+    the byte count the header implies before the model is allocated; then one
+    ``readinto`` fills ``model.state`` (no initializer runs), and a short read
+    is a truncated stream.  A NaN or infinite value, or a negative running
     variance, is a format error.
     """
-    blob = source.read()
-    if blob[:4] != WEIGHTS_MAGIC:
-        raise WeightFormatError(f"bad magic {blob[:4]!r}, expected {WEIGHTS_MAGIC!r}")
-    n_levels = struct.unpack_from("<I", blob, 8)[0] if len(blob) >= 12 else 0
-    offset = 4 * (n_levels + 6)  # magic, version, n_levels, depths, three dims
-    if len(blob) < offset:
+    head = source.read(12)
+    if head[:4] != WEIGHTS_MAGIC:
+        raise WeightFormatError(f"bad magic {head[:4]!r}, expected {WEIGHTS_MAGIC!r}")
+    at = source.tell()
+    left = source.seek(0, os.SEEK_END) - at  # bytes after the first 12
+    source.seek(at)
+    n_levels = struct.unpack_from("<I", head, 8)[0] if len(head) == 12 else 0
+    rest = 4 * (n_levels + 3)  # depths and three dims
+    if len(head) == 12 and left >= rest:
+        head += source.read(rest)
+    if len(head) < 12 + rest:
         raise WeightFormatError("truncated weight stream while reading the header")
     version, _, *depths, hidden, n_classes, input_dim = struct.unpack_from(
-        f"<{n_levels + 5}I", blob, 4
+        f"<{n_levels + 5}I", head, 4
     )
     if version != WEIGHTS_VERSION:
         raise WeightFormatError(f"unsupported weight version {version}")
@@ -448,13 +475,11 @@ def load_weights(source: BinaryIO, spec: ArchSpec | None = None) -> MultiLevelMo
         raise WeightFormatError("header input_dim must be >= 1")
 
     size = 8 * _state_size(stored, input_dim)
-    if len(blob) - offset < size:
+    if left - rest < size:
         raise WeightFormatError(f"truncated weight stream: {stored} needs {size} parameter bytes")
-    if len(blob) - offset > size:
+    if left - rest > size:
         raise WeightFormatError("trailing bytes after final parameter array")
     model = _assemble(stored, input_dim)
-    values = np.frombuffer(blob, dtype="<f8", offset=offset)
-    for arr in model.arrays.values():
-        arr[...] = values[: arr.size].reshape(arr.shape)
-        values = values[arr.size :]
+    if source.readinto(model.state) != size:  # the stream shrank since its length was read
+        raise WeightFormatError(f"truncated weight stream: {stored} needs {size} parameter bytes")
     return _check_state(model)

@@ -1293,6 +1293,33 @@ def test_out_naming_a_fifo_is_written_in_place(overfit_artifacts, tmp_path, caps
     assert os.listdir(tmp_path) == ["scores.fifo"]
 
 
+def test_a_model_on_a_fifo_is_refused_as_a_stream_that_cannot_seek(overfit_artifacts, tmp_path,
+                                                                   capsys):
+    data_path, model_path, _ = overfit_artifacts
+    fifo = tmp_path / "model.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as sink:
+                sink.write(Path(model_path).read_bytes())
+        except BrokenPipeError:  # the reader gave up on the stream
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        code = run_cli("evaluate", "--model", fifo, "--data", data_path)
+    finally:
+        writer.join(timeout=30)
+        if writer.is_alive():  # release a writer still waiting for a reader
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=30)
+    assert not writer.is_alive()
+    printed = capsys.readouterr()
+    assert (code, printed.out, printed.err) == (1, "", f"error: --model {fifo}: Illegal seek\n")
+
+
 def test_out_naming_a_pipe_is_written_in_place(overfit_artifacts, tmp_path, monkeypatch):
     data_path, model_path, _ = overfit_artifacts
     argv = ["predict", "--model", model_path, "--data", data_path, "--out"]

@@ -1,8 +1,10 @@
 """Architecture grammar, multi-level assembly, gradients, and weight files."""
 
+import errno
 import hashlib
 import io
 import itertools
+import os
 import re
 import struct
 import sys
@@ -21,6 +23,7 @@ from wlat import nn
 from wlat.model import (
     INFER_CHUNK_ROWS,
     PRESET_ARCHS,
+    WEIGHTS_MAGIC,
     ArchSpec,
     WeightFormatError,
     backward,
@@ -669,6 +672,75 @@ class TestWeightFiles:
         assert save_weights(model, buffer) == 1936
         digest = hashlib.sha256(buffer.getvalue()).hexdigest()
         assert digest == "f47bf36ea6b0da62bc09ecc935e431a6325cf0b005776e2bdb90999705083f33"
+
+    @pytest.mark.parametrize("arch", PRESET_ARCHS)
+    def test_arrays_are_consecutive_views_of_state_and_state_is_the_payload(self, arch):
+        built = toy_model(arch, input_dim=7, seed=36)
+        sink = io.BytesIO()
+        save_weights(built, sink)
+        spec = built.spec
+        header = WEIGHTS_MAGIC + struct.pack(f"<{spec.n_levels + 5}I", 1, spec.n_levels,
+                                             *spec.block_depths, 5, 3, 7)
+        assert sink.getvalue() == header + built.state.tobytes()
+        for model in (built, load_weights(io.BytesIO(sink.getvalue()))):
+            state = model.state
+            assert state.dtype == np.dtype("<f8") and state.ndim == 1 and state.flags.owndata
+            base, used = state.ctypes.data, 0
+            for name, arr in model.arrays.items():
+                assert arr.base is state and arr.flags.c_contiguous, name
+                assert arr.ctypes.data == base + 8 * used, name
+                used += arr.size
+            assert used == state.size
+
+    def test_load_peaks_near_one_state(self, tmp_path):
+        # at the parent, the file's bytes were held beside the model: 2.02x
+        model = build_model(parse_arch("2-A-1-A", hidden_units=128, n_classes=64), 32, 37)
+        path = tmp_path / "model.wlam"
+        with open(path, "wb") as sink:
+            save_weights(model, sink)
+        with open(path, "rb") as source:
+            tracemalloc.start()
+            try:
+                loaded = load_weights(source)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert loaded.state.tobytes() == model.state.tobytes()
+        assert peak < 1.3 * loaded.state.nbytes, peak / loaded.state.nbytes
+
+    def test_save_peaks_below_a_quarter_of_the_largest_array(self):
+        # at the parent, every array was copied to bytes before it was written
+        model = build_model(parse_arch("2-A-1-A", hidden_units=128, n_classes=64), 32, 38)
+        largest = max(arr.nbytes for arr in model.arrays.values())
+        with open(os.devnull, "wb") as sink:
+            tracemalloc.start()
+            try:
+                written = save_weights(model, sink)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert written == 32 + model.state.nbytes  # a two-level header is 8 u32s
+        assert peak < largest / 4, peak / largest
+
+    def test_a_short_read_is_a_truncated_stream(self):
+        class ShrankWhileRead(io.BytesIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:-8])
+
+        buffer = io.BytesIO()
+        save_weights(toy_model(), buffer)
+        with pytest.raises(WeightFormatError, match="^truncated weight stream: "):
+            load_weights(ShrankWhileRead(buffer.getvalue()))
+
+    def test_a_stream_that_cannot_seek_raises_its_own_error(self):
+        buffer = io.BytesIO()
+        save_weights(toy_model(), buffer)
+        read_end, write_end = os.pipe()
+        os.write(write_end, buffer.getvalue())  # 1936 bytes, well inside a pipe's buffer
+        os.close(write_end)
+        with open(read_end, "rb") as source, pytest.raises(OSError) as info:
+            load_weights(source)
+        assert info.value.errno == errno.ESPIPE
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected_naming_its_array(self, value):
