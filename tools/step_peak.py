@@ -57,7 +57,6 @@ def main() -> None:
     print(f"train forward retains {retained / MIB:.1f} MiB")
     print(f"train step peaks at {peak / MIB:.1f} MiB")
 
-    del fwd, grad_z, features, targets
     with tempfile.TemporaryFile() as checkpoint:
         saved = traced_peak(lambda: save_weights(model, checkpoint))
         checkpoint.seek(0)
