@@ -45,27 +45,34 @@ class AttentionHead:
 
 
 def forward_batch(
-    h: np.ndarray, head: AttentionHead
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    h: np.ndarray, head: AttentionHead, retain: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Pool a batch of embedded clips, shape (n_clips, n_frames, width).
 
     Returns (y, weights, frame_probs, denom) where y is (n_clips,
     n_classes), weights and frame_probs are (n_clips, n_frames, n_classes),
     and denom is the (n_clips, 1, n_classes) time-normalization term; the
-    last three feed :func:`backward_batch`.  A training and an inference
-    forward run the same code, on the calling thread.
+    last three feed :func:`backward_batch`.  The classification map and its
+    sigmoid are made before the attention map and its softmax.  With
+    ``retain`` (a training forward, whose backward reads both maps) the
+    pooling product is a temporary.  Without it (an inference forward, which
+    keeps no map) the product is written over the frame probabilities, so at
+    most two (rows x classes) maps are live at once, and frame_probs, then
+    overwritten, is returned as None.  Both modes multiply and sum the same
+    values in the same order, on the calling thread, so y is the same bits.
     """
     if h.ndim != 3 or h.shape[1] < 1:
         raise ValueError(f"expected (n_clips, n_frames >= 1, width), got {h.shape}")
     rows = h.reshape(-1, h.shape[2])
     shape = (*h.shape[:2], head.n_classes)
-    v = softmax_rows(dense_forward(rows, head.att_dense)).reshape(shape)
     frame_probs = sigmoid(dense_forward(rows, head.cls_dense)).reshape(shape)
+    v = softmax_rows(dense_forward(rows, head.att_dense)).reshape(shape)
     denom = v.sum(axis=1, keepdims=True)
     denom = np.where(denom > 0.0, denom, NORM_EPSILON)
     v /= denom  # v becomes the weights
-    y = (v * frame_probs).sum(axis=1)
-    return y, v, frame_probs, denom
+    if retain:
+        return (v * frame_probs).sum(axis=1), v, frame_probs, denom
+    return np.multiply(frame_probs, v, out=frame_probs).sum(axis=1), v, None, denom
 
 
 def backward_batch(

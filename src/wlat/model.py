@@ -38,17 +38,20 @@ WEIGHTS_MAGIC = b"WLAM"
 WEIGHTS_VERSION = 1
 
 # Frame rows (clips x frames) per chunk of :func:`predict_scores`, which has
-# two chunks in flight, one per thread.  At paper width the two chunks'
-# widest activations (2 x 360 x 600 floats) stay near the CPU cache; 10000-row
-# chunks spent more time in elementwise passes and page faults than in their
-# GEMMs.  Smaller chunks lower the traced peak on 1000 paper-shape clips (19.2
-# MB at 400 rows, 17.7 at 360, 13.2 at 240), but at synth-train shape a chunk
-# is mostly per-call cost: 360 rows took 1.04x the time of 400 (quartiles
-# 0.97-1.10), 320 1.10x and 240 1.33x.  Chunked scores equal one forward over
-# all clips bitwise only at toy widths: at paper shape BLAS rounds the tail
-# rows of a GEMM differently, and 0.16-0.25% of scores differ, by at most
-# 5.6e-16 (0.24% by at most 3.3e-16 between 360- and 400-row chunks).
+# two chunks in flight, one per thread: at most INFER_CHUNK_ROWS, and at most
+# INFER_CHUNK_VALUES // width, where width is the model's widest activation
+# (hidden units, classes or input features).  A narrow model's chunk is mostly
+# per-call cost, so the rows cap it: at synth-train shape (H=64) 240-row chunks
+# took 1.26x the time of 360-row ones, and uncapped 2250-row chunks raised the
+# benchmark's peak RSS by 2.4-3.1 MB.  A wide model's chunk is GEMM-bound, so
+# the values cap it: 240 rows at paper shape (H=600), whose widest activations
+# then stay near the CPU cache.  On 1000 paper-shape clips the traced peak of
+# predict_scores is 17.7 MB at 360 rows, 13.2 at 240, and 11.2 at 240 with
+# each head pooled in place.  Chunked scores equal one forward over all clips
+# bitwise only at toy widths: at paper shape BLAS rounds the tail rows of a
+# GEMM differently, and 0.16-0.25% of scores differ, by at most 5.6e-16.
 INFER_CHUNK_ROWS = 360
+INFER_CHUNK_VALUES = 240 * 600
 
 # The architecture grammar: dense-layer counts separated by attention taps.
 PRESET_ARCHS = (
@@ -270,7 +273,7 @@ def forward_cached(
                 layers.append((dense_in, dense_out, mean, var, x))
 
         h = x.reshape(n_clips, n_frames, -1)
-        y, weights, frame_probs, denom = forward_batch(h, head)
+        y, weights, frame_probs, denom = forward_batch(h, head, retain)
         if retain:
             levels.append((layers, h, weights, frame_probs, denom))
         level_y.append(y)
@@ -344,18 +347,23 @@ def backward(
 def predict_scores(model: MultiLevelModel, features: np.ndarray) -> np.ndarray:
     """Infer-mode class probabilities (n_clips, n_classes); a score not finite raises ValueError.
 
-    Clips are scored in chunks of about :data:`INFER_CHUNK_ROWS` frame rows
-    (at least one clip).  This thread and a helper, joined before this
-    returns, take chunks from one queue: two are in flight, one per thread,
-    and memory stays bounded by them and the output.  After a chunk fails,
-    the other thread finishes the one it holds and takes no more; the first
-    error is raised.  Each chunk is one single-thread forward, under its
-    thread's own numpy error state, so the threads change no bit of any score.
+    Clips are scored in chunks of whole clips, at least one, of at most
+    ``min(INFER_CHUNK_ROWS, INFER_CHUNK_VALUES // width)`` frame rows, where
+    width is the model's widest activation, ``max(hidden_units, n_classes,
+    input_dim)``; each chunk's infer-mode forward pools each head in place
+    (see :func:`~wlat.attention.forward_batch`).  This thread and a helper,
+    joined before this returns, take chunks from one queue: two are in
+    flight, one per thread, and memory stays bounded by them and the output.
+    After a chunk fails, the other thread finishes the one it holds and takes
+    no more; the first error is raised.  Each chunk is one single-thread
+    forward, under its thread's own numpy error state, so the threads change
+    no bit of any score.
     The helper pays only with BLAS on one thread, as the ``wlat`` command runs
     it; a library caller sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads.
     """
     _check_features(model, features)
-    step = max(1, INFER_CHUNK_ROWS // features.shape[1])
+    width = max(model.spec.hidden_units, model.spec.n_classes, model.input_dim)
+    step = max(1, min(INFER_CHUNK_ROWS, INFER_CHUNK_VALUES // width) // features.shape[1])
     # each chunk's scores are copied into place and freed, not kept for one concatenation
     scores = np.empty((len(features), model.spec.n_classes))
     chunks = iter([slice(start, start + step) for start in range(0, len(features), step)])

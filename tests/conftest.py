@@ -51,12 +51,13 @@ def record_batches(monkeypatch):
 @pytest.fixture
 def record_attention(monkeypatch):
     """Log each attention head's weights, (n_clips, n_frames, n_classes), in call order: an
-    infer-mode forward keeps none, so they are read where the model's forward gets them."""
+    infer-mode forward keeps none, so they are read where the model's forward gets them.  The
+    mode argument the model passes is passed through."""
     weights = []
     real = model_module.forward_batch
 
-    def recording(h, head):
-        y, att, frame_probs, denom = real(h, head)
+    def recording(h, head, *args):
+        y, att, frame_probs, denom = real(h, head, *args)
         weights.append(att)
         return y, att, frame_probs, denom
 

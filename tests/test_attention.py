@@ -87,6 +87,23 @@ def test_batched_forward_equals_per_clip():
         assert np.array_equal(weights[i], clip_w)
 
 
+@pytest.mark.parametrize("n_frames", [1, 7, 8, 13])
+@pytest.mark.parametrize("n_classes", [1, 6])
+def test_infer_forward_pools_in_place_to_the_train_forwards_bits(n_classes, n_frames):
+    # the infer-mode product overwrites the frame probabilities and is summed over time
+    # as the train-mode temporary is, short and long time axes alike
+    rng = new_rng(n_classes * 100 + n_frames)
+    head = random_head(rng, 5, n_classes)
+    h = gaussian(rng, (4, n_frames, 5))
+    before = h.copy()
+    y, weights, frame_probs, denom = forward_batch(h, head)
+    infer_y, infer_weights, infer_frame_probs, infer_denom = forward_batch(h, head, False)
+    assert infer_frame_probs is None and frame_probs.shape == weights.shape
+    for train, infer in ((y, infer_y), (weights, infer_weights), (denom, infer_denom)):
+        assert train.tobytes() == infer.tobytes()
+    assert h.tobytes() == before.tobytes()
+
+
 def test_forward_rejects_empty_frames():
     head = random_head(new_rng(0), 4, 2)
     with pytest.raises(ValueError):

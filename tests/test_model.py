@@ -22,6 +22,7 @@ import wlat.model
 from wlat import nn
 from wlat.model import (
     INFER_CHUNK_ROWS,
+    INFER_CHUNK_VALUES,
     PRESET_ARCHS,
     WEIGHTS_MAGIC,
     ArchSpec,
@@ -280,6 +281,31 @@ class TestForward:
                    for start in range(0, n_clips, STEP)]
         assert predict_scores(model, features).tobytes() == np.concatenate(in_turn).tobytes()
 
+    @pytest.mark.parametrize("hidden, n_classes, input_dim, wide", [
+        (5, 3, 4, False), (500, 3, 4, True), (5, 600, 4, True), (5, 3, 1000, True),
+    ], ids=["narrow", "wide-hidden", "wide-classes", "wide-input"])
+    def test_predict_scores_chunks_by_the_widest_activation(self, monkeypatch, hidden,
+                                                            n_classes, input_dim, wide):
+        # a wide model's chunk rows are capped by its widest activation, a narrow one's by
+        # the row cap alone
+        width = max(hidden, n_classes, input_dim)
+        assert wide == (width * INFER_CHUNK_ROWS > INFER_CHUNK_VALUES)
+        step = (INFER_CHUNK_VALUES // width if wide else INFER_CHUNK_ROWS) // 6
+        model = build_model(parse_arch("2-A-1-A", hidden, n_classes), input_dim, init_seed=0)
+        features = gaussian(new_rng(22), (2 * step + 1, 6, input_dim))
+        real, sizes = wlat.model.forward_cached, []
+
+        def recording(model, chunk, *args, **kwargs):
+            sizes.append(len(chunk))  # list.append is atomic under the GIL
+            return real(model, chunk, *args, **kwargs)
+
+        in_turn = [real(model, features[start : start + step], INFER).z
+                   for start in range(0, len(features), step)]
+        monkeypatch.setattr(wlat.model, "forward_cached", recording)
+        scores = predict_scores(model, features)
+        assert sorted(sizes) == [1, step, step]
+        assert scores.tobytes() == np.concatenate(in_turn).tobytes()
+
     def test_predict_scores_takes_each_chunk_once_under_fast_switching(self, monkeypatch):
         # 400-frame clips make one-clip chunks; a thread switch every microsecond puts a lost
         # or repeated take of the shared queue within reach of one call
@@ -352,6 +378,24 @@ class TestForward:
                 tracemalloc.stop()
         assert peaks["1-A-1-A-1-A"] < 4.0, peaks
         assert peaks["1-A-1-A-1-A"] - peaks["3-A"] < 0.5, peaks
+
+    def test_infer_forward_pools_each_head_in_place(self):
+        # The byte unit is one (rows x classes) map of a 360-row chunk whose 256 classes
+        # outnumber its 16 hidden units.  Each head makes its frame probabilities (whose
+        # sigmoid briefly adds a unit and a boolean eighth), then its attention weights,
+        # and writes their product over the frame probabilities: two maps, where a third
+        # for the product measured 3.38 units.  2.38 are measured; the bound leaves 0.42.
+        n_classes = 256
+        unit = 360 * n_classes * 8
+        features = gaussian(new_rng(23), (36, 10, 16))
+        model = build_model(parse_arch("2-A-1-A", hidden_units=16, n_classes=n_classes), 16, 0)
+        tracemalloc.start()
+        try:
+            forward_cached(model, features, INFER)
+            peak = tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.8, peak
 
     def test_train_memory_keeps_no_dropout_mask(self):
         # The byte unit is one hidden layer's (rows x width) output.  A

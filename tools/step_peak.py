@@ -1,4 +1,4 @@
-"""Print the traced memory of one training step, a save and a load at the paper's shape.
+"""Print the traced memory of one training step, a save, a load and scoring at the paper's shape.
 
 Run from the repository root:
 
@@ -11,8 +11,11 @@ the model and the batch exist.  The script prints what the forward pass
 retains and the peak over the whole step, both in MiB.  It then prints the
 peaks of ``save_weights`` of that model to a temporary file and of
 ``load_weights`` of that file, each traced on its own, beside the size of
-the model's ``state``.  They are tracked numbers with no bound: the figures
-depend only on the code and numpy, not on the host.
+the model's ``state``.  Last it prints the peak of ``predict_scores`` of that
+model on 1000 clips x 10 frames of float32 features, as ``wlat evaluate``
+reads them, the highest of five calls: its two threads' peaks coincide in
+some calls only.  They are tracked numbers with no bound: the figures depend
+only on the code and numpy, not on the host.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import tracemalloc
 
 import numpy as np
 
-from wlat.model import backward, build_model, forward_cached, load_weights, parse_arch, save_weights
+from wlat.model import (
+    backward, build_model, forward_cached, load_weights, parse_arch, predict_scores, save_weights
+)
 from wlat.nn import TRAIN
 from wlat.rng import gaussian, new_rng
 from wlat.train import bce_loss
@@ -64,6 +69,10 @@ def main() -> None:
     print(f"model state holds {model.state.nbytes / MIB:.2f} MiB")
     print(f"save_weights peaks at {saved / MIB:.2f} MiB")
     print(f"load_weights peaks at {loaded / MIB:.2f} MiB")
+
+    clips = gaussian(new_rng(3), (1000, 10, 128)).astype(np.float32)
+    scored = max(traced_peak(lambda: predict_scores(model, clips)) for _ in range(5))
+    print(f"predict_scores of 1000 clips peaks at {scored / MIB:.2f} MiB ({scored / 1e6:.2f} MB)")
 
 
 if __name__ == "__main__":
