@@ -22,7 +22,9 @@ read clip is a read-only view of the bytes read, and no value float32 does
 not hold exactly is written, so write -> read is exact.  The model widens
 them to float64 one batch or chunk at a time.  The generator draws clip by
 clip from one seeded stream but transforms the noise a block of clips at a
-time; the clips of a block share one float32 array.
+time; the clips of a block share one float32 array.  Its label counts,
+classes, event counts and frames come from :class:`~wlat.rng.WordReader`,
+word for word the draws of numpy's ``Generator.integers`` and ``choice``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .rng import box_muller, gaussian, new_rng
+from .rng import WordReader, box_muller, gaussian, new_rng
 
 MAGIC = b"WLAD"
 FORMAT_VERSION = 1
@@ -49,6 +51,8 @@ MAX_U32 = 0xFFFFFFFF  # frame, feature and sample counts are u32 header fields
 
 # generate_synthetic transforms the noise uniforms of about this many bytes of
 # clips at once; its temporaries stay a few blocks, never the whole set twice.
+# The integer draws between two clips' uniforms read one word at a time and
+# hold no buffer.
 SYNTH_BLOCK_BYTES = 1 << 20
 
 _ID = re.compile("[^\t\r\n]*")  # no TAB, CR or LF: the separators of truth and predict records
@@ -264,6 +268,10 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
     consumed in a fixed order (prototypes, then per sample: label count,
     classes, per class ascending its event count and frames, then the
     noise uniforms of :func:`~wlat.rng.gaussian` for the noise matrix).
+    The counts, classes and frames are :class:`~wlat.rng.WordReader`
+    readings: each takes the words, and gives the value, of the numpy call
+    ``Generator.integers(low, high + 1)`` or ``sorted(Generator.choice(n, k,
+    replace=False))``, so the stream is that of those calls.
     Clips are generated in blocks of about :data:`SYNTH_BLOCK_BYTES`: each
     clip's uniforms are drawn in stream order, then once per block they are
     turned into normals, scaled, planted in draw order and rounded.  The
@@ -273,6 +281,9 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
     prototypes = gaussian(rng, (cfg.n_classes, cfg.n_features))
     prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
     planted = cfg.signal_scale * prototypes
+    words = WordReader(rng)
+    label_counts = cfg.labels_per_sample_max - cfg.labels_per_sample_min + 1
+    event_counts = cfg.event_frames_max - cfg.event_frames_min + 1
 
     n_values = cfg.n_frames * cfg.n_features
     row_words = 2 * ((n_values + 1) // 2)
@@ -286,12 +297,11 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Sample], SynthTruth]:
         # np.add.at plants in this order (clip, class, frame), as clip by clip did
         at_row, at_frame, at_class = [], [], []
         for row, sample_id in enumerate(ids):
-            n_labels = int(rng.integers(cfg.labels_per_sample_min, cfg.labels_per_sample_max + 1))
+            n_labels = cfg.labels_per_sample_min + words.below(label_counts)
             events = truth[sample_id] = {}
-            for c in sorted(rng.choice(cfg.n_classes, size=n_labels, replace=False).tolist()):
-                n_event = int(rng.integers(cfg.event_frames_min, cfg.event_frames_max + 1))
-                frames = rng.choice(cfg.n_frames, size=n_event, replace=False).tolist()
-                events[c] = frames = tuple(sorted(frames))
+            for c in words.sample(cfg.n_classes, n_labels):
+                n_event = cfg.event_frames_min + words.below(event_counts)
+                events[c] = frames = tuple(words.sample(cfg.n_frames, n_event))
                 at_row += [row] * n_event
                 at_frame += frames
                 at_class += [c] * n_event

@@ -395,6 +395,12 @@ GENERATOR_PINS = {
         dict(n_classes=8, n_samples=250, n_frames=10, n_features=128, seed=13),
         "bb66ae3c4801d504a4d146bc843dd7f3ddaa1dd4b48897386638b216150c17a6",
     ),
+    # above n_classes // 50 = 200 labels numpy's choice takes a tail shuffle, not Floyd's sample
+    "tail-shuffle-labels": (
+        dict(n_classes=10001, n_samples=5, n_frames=3, n_features=2, labels_per_sample_min=200,
+             labels_per_sample_max=203, seed=14),
+        "442bc7da540c2ff0fb7395769f4a75745a1cf657f351f36802c1b9fa2c4a4c9a",
+    ),
 }
 
 
@@ -480,6 +486,17 @@ def test_blocks_reproduce_the_clip_by_clip_stream(n_frames, n_features, n_classe
     assert [(s.id, s.labels) for s in samples] == [(s.id, s.labels) for s in reference]
     # bytes, not values: a -0.0 where the reference has 0.0 would change the file
     assert [s.features.tobytes() for s in samples] == [s.features.tobytes() for s in reference]
+
+
+def test_tail_shuffle_pin_reproduces_the_clip_by_clip_stream():
+    cfg = SynthConfig(**GENERATOR_PINS["tail-shuffle-labels"][0])
+    samples, truth = generate_synthetic(cfg)
+    reference, reference_truth = generate_clip_by_clip(cfg)
+    assert truth == reference_truth
+    assert [(s.id, s.labels) for s in samples] == [(s.id, s.labels) for s in reference]
+    assert [s.features.tobytes() for s in samples] == [s.features.tobytes() for s in reference]
+    # its clips take both of choice's ways: 200 labels by Floyd's sample, more by the shuffle
+    assert {len(s.labels) > cfg.n_classes // 50 for s in samples} == {False, True}
 
 
 def test_different_seeds_differ():

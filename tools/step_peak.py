@@ -1,4 +1,5 @@
-"""Print the traced memory of one training step, a save, a load and scoring at the paper's shape.
+"""Print the traced memory of one training step, a save, a load and scoring at the paper's shape,
+and of generating the benchmark workloads' synthetic clips.
 
 Run from the repository root:
 
@@ -11,11 +12,14 @@ the model and the batch exist.  The script prints what the forward pass
 retains and the peak over the whole step, both in MiB.  It then prints the
 peaks of ``save_weights`` of that model to a temporary file and of
 ``load_weights`` of that file, each traced on its own, beside the size of
-the model's ``state``.  Last it prints the peak of ``predict_scores`` of that
+the model's ``state``.  Then it prints the peak of ``predict_scores`` of that
 model on 1000 clips x 10 frames of float32 features, as ``wlat evaluate``
 reads them, the highest of five calls: its two threads' peaks coincide in
-some calls only.  They are tracked numbers with no bound: the figures depend
-only on the code and numpy, not on the host.
+some calls only.  Last it prints the peak of ``generate_synthetic`` at the
+clip shapes and counts of the ``synth-train`` (2500 clips of 10 x 32, 8
+classes) and ``paper-eval`` (1000 clips of 10 x 128, 527 classes) benchmark
+workloads, data seed 1.  They are tracked numbers with no bound: the figures
+depend only on the code and numpy, not on the host.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import tracemalloc
 
 import numpy as np
 
+from wlat.data import SynthConfig, generate_synthetic
 from wlat.model import (
     backward, build_model, forward_cached, load_weights, parse_arch, predict_scores, save_weights
 )
@@ -73,6 +78,12 @@ def main() -> None:
     clips = gaussian(new_rng(3), (1000, 10, 128)).astype(np.float32)
     scored = max(traced_peak(lambda: predict_scores(model, clips)) for _ in range(5))
     print(f"predict_scores of 1000 clips peaks at {scored / MIB:.2f} MiB ({scored / 1e6:.2f} MB)")
+
+    for workload, n_classes, n_samples, n_features in (("synth-train", 8, 2500, 32),
+                                                       ("paper-eval", 527, 1000, 128)):
+        cfg = SynthConfig(n_classes=n_classes, n_samples=n_samples, n_features=n_features, seed=1)
+        generated = traced_peak(lambda: generate_synthetic(cfg))
+        print(f"generate_synthetic of {workload}'s clips peaks at {generated / MIB:.2f} MiB")
 
 
 if __name__ == "__main__":
